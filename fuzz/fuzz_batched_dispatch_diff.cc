@@ -1,6 +1,6 @@
 // libFuzzer entry point: "<batch byte><xpath>;...\n<xml>" multi-query
-// pools checked batched-dispatch replay vs per-event delivery for
-// identical outcomes, verdicts, confirmations and items.
+// pools checked batched vs direct-handler delivery for identical outcomes,
+// verdicts, confirmations and items, and against the brute-force oracle.
 
 #include "targets.h"
 

@@ -359,11 +359,13 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
   }
   if (queries.empty()) return 0;
 
+  // Two feeds of the one dispatch: whole batches of the fuzzed budget, and
+  // live events through the evaluator's ContentHandler overrides.
   core::MultiQueryEvaluator batched;
-  core::MultiQueryEvaluator oracle;
+  core::MultiQueryEvaluator direct;
   for (const core::Query& query : queries) {
     batched.AddQuery(query);
-    oracle.AddQuery(query);
+    direct.AddQuery(query);
   }
   core::BatchedDispatchOptions dispatch_options;
   dispatch_options.max_batch_events = batch_events;
@@ -372,24 +374,55 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
 
   xml::ParserOptions options = FuzzParserOptions();
   Status batched_parse = xml::ParseString(document, &dispatcher, options);
-  Status oracle_parse = xml::ParseString(document, &oracle, options);
-  if (batched_parse.ok() != oracle_parse.ok()) __builtin_trap();
+  Status direct_parse = xml::ParseString(document, &direct, options);
+  if (batched_parse.ok() != direct_parse.ok()) __builtin_trap();
   if (!batched_parse.ok()) {
     // Exercise the mid-stream abort path: buffered events must be
     // discarded and the batch pool must stay reusable (no double release).
     dispatcher.AbortDocument(batched_parse);
     return 0;
   }
-  if (batched.status().ok() != oracle.status().ok()) __builtin_trap();
+  if (batched.status().ok() != direct.status().ok()) __builtin_trap();
   if (!batched.status().ok()) return 0;
 
+  // The independent oracle: the brute-force x-tree matcher over the DOM.
+  StatusOr<dom::Document> dom = dom::ParseToDocument(document, options);
+  if (!dom.ok()) __builtin_trap();  // the same parser accepted it above
   for (size_t q = 0; q < queries.size(); ++q) {
-    if (batched.Matched(q) != oracle.Matched(q)) __builtin_trap();
-    if (batched.MatchConfirmed(q) != oracle.MatchConfirmed(q)) {
+    if (batched.MatchConfirmed(q) != direct.MatchConfirmed(q)) {
       __builtin_trap();
     }
-    if (!(baseline::CanonicalFromResult(batched.Result(q)) ==
-          baseline::CanonicalFromResult(oracle.Result(q)))) {
+    bool matched = false;
+    std::set<baseline::CanonicalItem> expected;
+    bool complete = true;
+    for (const query::XTree& tree : queries[q].trees()) {
+      baseline::BruteForceOutcome outcome =
+          baseline::BruteForceMatch(*dom, tree, /*max_explored=*/200'000);
+      complete = complete && outcome.complete;
+      matched = matched || outcome.matched;
+      expected.insert(outcome.items.begin(), outcome.items.end());
+    }
+    const core::QueryResult batched_result = batched.Result(q);
+    const core::QueryResult direct_result = direct.Result(q);
+    if (batched_result.matched != direct_result.matched ||
+        batched_result.items.size() != direct_result.items.size()) {
+      __builtin_trap();
+    }
+    for (size_t i = 0; i < batched_result.items.size(); ++i) {
+      const core::ElementInfo& a = batched_result.items[i].info;
+      const core::ElementInfo& b = direct_result.items[i].info;
+      if (a.id != b.id || a.parent_id != b.parent_id ||
+          a.ordinal != b.ordinal || a.level != b.level || a.kind != b.kind ||
+          a.name != b.name || a.value != b.value) {
+        __builtin_trap();
+      }
+    }
+    std::vector<baseline::CanonicalItem> batched_items =
+        baseline::CanonicalFromResult(batched_result);
+    if (!complete) continue;  // too expensive to oracle; skip
+    if (batched.Matched(q) != matched) __builtin_trap();
+    if (!(batched_items == std::vector<baseline::CanonicalItem>(
+                               expected.begin(), expected.end()))) {
       __builtin_trap();
     }
   }

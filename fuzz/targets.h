@@ -60,9 +60,11 @@ int RunSharedIndexDiffInput(const uint8_t* data, size_t size);
 // "<batch byte><xpath>;<xpath>;...\n<xml document>" — the first byte picks
 // the EventBatch size budget (1..64 events), the rest is a multi-query pool
 // plus a document. The pool is evaluated once through BatchedDispatcher
-// (pooled EventBatch replay, flat matcher stepping) and once per-event; any
-// divergence in parse outcome, per-query verdicts, mid-stream confirmations
-// or result items traps. A failed parse additionally drives the
+// (pooled EventBatch replay) and once fed directly as a ContentHandler;
+// any divergence between the two in parse outcome,
+// verdicts, confirmations or items traps, and so does any divergence of
+// verdicts or items from the brute-force matcher (src/baseline) where its
+// enumeration completes. A failed parse additionally drives the
 // dispatcher's AbortDocument path, which must leave the pool consistent.
 int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size);
 

@@ -1,16 +1,15 @@
 // Sequential batched dispatch: the driver between a SAX producer and an
 // evaluator's devirtualized batch loop.
 //
-// The per-event match path pays one virtual ContentHandler hop per SAX
-// event before any matching work starts. BatchedDispatcher interposes an
-// EventBatcher: parser callbacks append fixed-size records into a pooled
-// EventBatch, and each full batch is replayed in one call through
-// MultiQueryEvaluator/StreamingEvaluator::ReplayBatch — a single tight loop
-// with the cursor, depth stack and candidate lookups hoisted out of the
-// per-event path (EngineFleet::ReplayRun), and the shared matcher stepping
-// through its flattened transition tables. Results are byte-identical to
-// feeding the evaluator directly (the per-event path stays available behind
-// EngineOptions::enable_batched_dispatch=false as the differential oracle);
+// BatchedDispatcher interposes an EventBatcher: parser callbacks append
+// fixed-size records into a pooled EventBatch, and each full batch is
+// replayed in one call through MultiQueryEvaluator/StreamingEvaluator::
+// ReplayBatch — a single tight loop (EngineFleet::ReplayRun) with the
+// cursor, depth stack and candidate lookups hoisted out of the event
+// callbacks, and the shared matcher stepping through its flattened
+// transition tables. Feeding the evaluator directly runs the same dispatch
+// one live event at a time (EngineFleet::ReplayRun(LiveEvent)) and gives
+// identical results; here
 // only the instant at which buffered events reach the evaluator shifts — by
 // at most one batch, and Flush() hands over the buffer on demand when a
 // caller wants a mid-stream verdict at an exact event boundary.

@@ -88,181 +88,84 @@ void EngineFleet::StartDocument() {
   // document, so a stale memo would under-deliver.
   memo_valid_ = false;
   BreakRun();
+  // Resolved per document, so a registry cleared between documents is
+  // never written through a stale pointer.
+  run_length_hist_ = obs::Enabled()
+                         ? obs::MetricsRegistry::Default().GetHistogram(
+                               "xaos_dispatch_run_length")
+                         : nullptr;
   if (matcher_ != nullptr) matcher_->StartDocument();
   for (XaosEngine* engine : engines_) engine->StartDocument();
 }
 
-void EngineFleet::StartElement(const xml::QName& name,
-                               xml::AttributeSpan attributes) {
-  cursor_.StartElement(attributes.size());
-  if (matcher_ != nullptr) {
-    matcher_->StartElement(name.symbol, name.text, cursor_.top());
+namespace {
+
+// Reads batch records through the accessors EngineFleet's per-kind
+// dispatch bodies use (LiveEvent offers the same ones).
+class BatchEventReader {
+ public:
+  BatchEventReader(const xml::EventBatch& batch,
+                   std::vector<xml::AttributeView>* attr_scratch)
+      : batch_(batch), attr_scratch_(attr_scratch) {}
+
+  xml::BatchedEvent::Kind kind(size_t e) const { return event(e).kind; }
+  util::Symbol symbol(size_t e) const { return event(e).symbol; }
+  // Element name, character data, or the raw bytes of a SkipReport.
+  std::string_view text(size_t e) const {
+    return batch_.text_slice(event(e).text_offset, event(e).text_size);
+  }
+  uint32_t attr_count(size_t e) const { return event(e).attr_count; }
+  util::Symbol attr_symbol(size_t e, uint32_t a) const {
+    return attribute(e, a).symbol;
+  }
+  std::string_view attr_name(size_t e, uint32_t a) const {
+    const xml::BatchedAttribute& attr = attribute(e, a);
+    return batch_.text_slice(attr.name_offset, attr.name_size);
+  }
+  // Views over the batch's arena, rebuilt in the caller's scratch.
+  xml::AttributeSpan attributes(size_t e) const {
+    attr_scratch_->clear();
+    for (uint32_t a = 0; a < attr_count(e); ++a) {
+      const xml::BatchedAttribute& attr = attribute(e, a);
+      attr_scratch_->push_back(xml::AttributeView{
+          batch_.text_slice(attr.name_offset, attr.name_size),
+          batch_.text_slice(attr.value_offset, attr.value_size),
+          attr.symbol});
+    }
+    return xml::AttributeSpan(*attr_scratch_);
   }
 
-  if (++stamp_ == 0) {
-    // Stamp wrap: invalidate all marks and restart.
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    stamp_ = 1;
-  }
-  delivered_scratch_.clear();
-  for (int idx : always_dispatch_) Deliver(idx);
-  AddSymbolTargets(name.symbol, name.text);
-  for (const xml::AttributeView& attr : attributes) {
-    AddSymbolTargets(attr.symbol, attr.name);
+ private:
+  const xml::BatchedEvent& event(size_t e) const { return batch_.events()[e]; }
+  const xml::BatchedAttribute& attribute(size_t e, uint32_t a) const {
+    return batch_.attribute(event(e).attr_begin + a);
   }
 
-  uint64_t skipped = engines_.size() - delivered_scratch_.size();
-  engines_skipped_ += skipped;
-  engines_skipped_document_ += skipped;
+  const xml::EventBatch& batch_;
+  std::vector<xml::AttributeView>* attr_scratch_;
+};
 
-  for (int idx : delivered_scratch_) {
-    engines_[static_cast<size_t>(idx)]->StartElement(name, attributes);
-  }
-
-  if (depth_ == delivered_stack_.size()) delivered_stack_.emplace_back();
-  delivered_stack_[depth_] = delivered_scratch_;  // reuses capacity
-  ++depth_;
-}
-
-void EngineFleet::EndElement(std::string_view name) {
-  XAOS_CHECK(depth_ > 0) << "unbalanced events";
-  --depth_;
-  for (int idx : delivered_stack_[depth_]) {
-    engines_[static_cast<size_t>(idx)]->EndElement(name);
-  }
-  if (matcher_ != nullptr) matcher_->EndElement();
-  cursor_.EndElement();
-}
-
-void EngineFleet::Characters(std::string_view text) {
-  cursor_.Characters();
-  for (int idx : text_engines_) {
-    engines_[static_cast<size_t>(idx)]->Characters(text);
-  }
-}
-
-void EngineFleet::BreakRun() {
-  if (run_length_ > 0 && obs::Enabled()) {
-    static obs::Histogram* hist =
-        obs::MetricsRegistry::Default().GetHistogram(
-            "xaos_dispatch_run_length");
-    hist->Record(run_length_);
-  }
-  run_length_ = 0;
-}
+}  // namespace
 
 void EngineFleet::ReplayRun(const xml::EventBatch& batch, size_t begin,
                             size_t end,
                             std::vector<xml::AttributeView>* attr_scratch) {
-  const std::vector<xml::BatchedEvent>& events = batch.events();
+  const BatchEventReader events(batch, attr_scratch);
   for (size_t e = begin; e < end; ++e) {
-    const xml::BatchedEvent& event = events[e];
-    switch (event.kind) {
-      case xml::BatchedEvent::Kind::kStartElement: {
-        cursor_.StartElement(event.attr_count);
-        const std::string_view name =
-            batch.text_slice(event.text_offset, event.text_size);
-        if (matcher_ != nullptr) {
-          matcher_->StartElementFlat(event.symbol, name, cursor_.top());
-        }
-        const bool memo_hit = memo_valid_ && event.attr_count == 0 &&
-                              event.symbol != util::kInvalidSymbol &&
-                              event.symbol == memo_symbol_;
-        if (memo_hit) {
-          // Same candidate set as the previous start-element: re-filter the
-          // memoized set by inert() (inertness is monotone within a
-          // document, so this equals a fresh index walk) and skip the walk.
-          ++run_length_;
-          delivered_scratch_.clear();
-          for (int idx : memo_delivered_) {
-            if (!engines_[static_cast<size_t>(idx)]->inert()) {
-              delivered_scratch_.push_back(idx);
-            }
-          }
-        } else {
-          BreakRun();
-          run_length_ = 1;
-          if (++stamp_ == 0) {
-            std::fill(stamps_.begin(), stamps_.end(), 0);
-            stamp_ = 1;
-          }
-          delivered_scratch_.clear();
-          for (int idx : always_dispatch_) Deliver(idx);
-          AddSymbolTargets(event.symbol, name);
-          for (uint32_t a = 0; a < event.attr_count; ++a) {
-            const xml::BatchedAttribute& attr =
-                batch.attribute(event.attr_begin + a);
-            AddSymbolTargets(
-                attr.symbol,
-                batch.text_slice(attr.name_offset, attr.name_size));
-          }
-          // Attribute names can widen the candidate set, so only
-          // attribute-free elements with an interned symbol are memoizable.
-          if (event.attr_count == 0 && event.symbol != util::kInvalidSymbol) {
-            memo_valid_ = true;
-            memo_symbol_ = event.symbol;
-            memo_delivered_ = delivered_scratch_;  // reuses capacity
-          } else {
-            memo_valid_ = false;
-          }
-        }
-
-        const uint64_t skipped = engines_.size() - delivered_scratch_.size();
-        engines_skipped_ += skipped;
-        engines_skipped_document_ += skipped;
-
-        if (!delivered_scratch_.empty()) {
-          attr_scratch->clear();
-          for (uint32_t a = 0; a < event.attr_count; ++a) {
-            const xml::BatchedAttribute& attr =
-                batch.attribute(event.attr_begin + a);
-            attr_scratch->push_back(xml::AttributeView{
-                batch.text_slice(attr.name_offset, attr.name_size),
-                batch.text_slice(attr.value_offset, attr.value_size),
-                attr.symbol});
-          }
-          const xml::QName qname(name, event.symbol);
-          const xml::AttributeSpan attrs(*attr_scratch);
-          for (int idx : delivered_scratch_) {
-            engines_[static_cast<size_t>(idx)]->StartElement(qname, attrs);
-          }
-        }
-
-        if (depth_ == delivered_stack_.size()) delivered_stack_.emplace_back();
-        delivered_stack_[depth_] = delivered_scratch_;  // reuses capacity
-        ++depth_;
+    switch (events.kind(e)) {
+      case xml::BatchedEvent::Kind::kStartElement:
+        OnStartElement(events, e);
         break;
-      }
-      case xml::BatchedEvent::Kind::kEndElement: {
-        XAOS_CHECK(depth_ > 0) << "unbalanced events";
-        --depth_;
-        const std::string_view name =
-            batch.text_slice(event.text_offset, event.text_size);
-        for (int idx : delivered_stack_[depth_]) {
-          engines_[static_cast<size_t>(idx)]->EndElement(name);
-        }
-        if (matcher_ != nullptr) matcher_->EndElementFlat();
-        cursor_.EndElement();
+      case xml::BatchedEvent::Kind::kEndElement:
+        OnEndElement(events, e);
         break;
-      }
-      case xml::BatchedEvent::Kind::kCharacters: {
-        cursor_.Characters();
-        if (!text_engines_.empty()) {
-          const std::string_view text =
-              batch.text_slice(event.text_offset, event.text_size);
-          for (int idx : text_engines_) {
-            engines_[static_cast<size_t>(idx)]->Characters(text);
-          }
-        }
+      case xml::BatchedEvent::Kind::kCharacters:
+        OnCharacters(events, e);
         break;
-      }
       case xml::BatchedEvent::Kind::kSkipSubtree: {
         xml::SkipReport report;
-        std::memcpy(
-            &report,
-            batch.text_slice(event.text_offset, event.text_size).data(),
-            sizeof(report));
-        cursor_.SkipSubtree(report.node_ids, report.elements);
+        std::memcpy(&report, events.text(e).data(), sizeof(report));
+        SkipSubtree(report);
         break;
       }
       default:

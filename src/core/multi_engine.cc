@@ -113,15 +113,19 @@ EngineStats SumStats(const std::vector<std::unique_ptr<XaosEngine>>& engines) {
 // Replays `batch` through `fleet`: document-boundary events go through the
 // evaluator's virtual handlers (they carry per-document setup/teardown);
 // maximal interior runs go through the devirtualized ReplayRun loop. One
-// kReplay flight span covers the whole batch, and the batch counts into
-// xaos_dispatch_batches_total. Per-event cost sampling (TimedDispatch) is
-// intentionally absent here — the per-event path remains the sampled oracle.
+// kReplay flight span covers the whole batch, the batch counts into
+// xaos_dispatch_batches_total, and a sampled batch records its ns/event
+// into xaos_engine_event_ns.
 template <typename Evaluator>
 void ReplayBatchImpl(Evaluator* evaluator, EngineFleet* fleet,
                      const xml::EventBatch& batch,
                      std::vector<xml::AttributeView>* attr_scratch,
-                     int shard, uint64_t doc) {
+                     ReplayInstruments* instruments, int shard,
+                     uint64_t doc) {
   const std::vector<xml::BatchedEvent>& events = batch.events();
+  const uint64_t timed_begin_ns =
+      obs::Enabled() && instruments->sampler.ShouldSample() ? obs::NowNs()
+                                                            : 0;
   obs::flight::ScopedSpan replay_span(obs::flight::SpanKind::kReplay);
   if (replay_span.active()) {
     replay_span.span()->batch = batch.sequence();
@@ -157,14 +161,26 @@ void ReplayBatchImpl(Evaluator* evaluator, EngineFleet* fleet,
     fleet->ReplayRun(batch, i, j, attr_scratch);
     i = j;
   }
-  if (obs::Enabled()) {
-    static obs::Counter* batches = obs::MetricsRegistry::Default().GetCounter(
-        "xaos_dispatch_batches_total");
-    batches->Increment();
+  if (obs::Enabled() && instruments->batches != nullptr) {
+    instruments->batches->Increment();
+    if (timed_begin_ns != 0 && n > 0) {
+      instruments->sampler.RecordNs((obs::NowNs() - timed_begin_ns) / n);
+    }
   }
 }
 
 }  // namespace
+
+ReplayInstruments ReplayInstruments::Arm() {
+  ReplayInstruments instruments;
+  if (obs::Enabled()) {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    instruments.batches = registry.GetCounter("xaos_dispatch_batches_total");
+    instruments.sampler = obs::EventCostSampler(
+        registry.GetHistogram("xaos_engine_event_ns"), /*period=*/8);
+  }
+  return instruments;
+}
 
 StatusOr<Query> Query::Compile(std::string_view xpath, int max_paths) {
   XAOS_ASSIGN_OR_RETURN(std::vector<query::XTree> trees,
@@ -195,11 +211,6 @@ StreamingEvaluator::StreamingEvaluator(const Query& query,
   for (const query::XTree& tree : *trees_) {
     engines_.push_back(std::make_unique<XaosEngine>(&tree, options));
     fleet_.AddEngine(engines_.back().get());
-  }
-  if (obs::Enabled()) {
-    sampler_ = obs::EventCostSampler(
-        obs::MetricsRegistry::Default().GetHistogram("xaos_engine_event_ns"));
-    sample_events_ = true;
   }
   gate_.SetSpec(options.capture_output_subtrees
                     ? query::ProjectionSpec::KeepAll(
@@ -235,15 +246,18 @@ void StreamingEvaluator::AbortDocument(const Status& cause) {
 
 void StreamingEvaluator::StartElement(const xml::QName& name,
                                       xml::AttributeSpan attributes) {
-  TimedDispatch([&] { fleet_.StartElement(name, attributes); });
+  fleet_.ReplayRun(LiveEvent(xml::BatchedEvent::Kind::kStartElement,
+                             name.symbol, name.text, attributes));
 }
 
 void StreamingEvaluator::EndElement(std::string_view name) {
-  TimedDispatch([&] { fleet_.EndElement(name); });
+  fleet_.ReplayRun(LiveEvent(xml::BatchedEvent::Kind::kEndElement,
+                             util::kInvalidSymbol, name));
 }
 
 void StreamingEvaluator::Characters(std::string_view text) {
-  fleet_.Characters(text);
+  fleet_.ReplayRun(LiveEvent(xml::BatchedEvent::Kind::kCharacters,
+                             util::kInvalidSymbol, text));
 }
 
 void StreamingEvaluator::SkippedSubtree(const xml::SkipReport& report) {
@@ -253,8 +267,8 @@ void StreamingEvaluator::SkippedSubtree(const xml::SkipReport& report) {
 void StreamingEvaluator::ReplayBatch(
     const xml::EventBatch& batch,
     std::vector<xml::AttributeView>* attr_scratch) {
-  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, /*shard=*/-1,
-                  doc_ordinal_);
+  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, &instruments_,
+                  /*shard=*/-1, doc_ordinal_);
 }
 
 bool StreamingEvaluator::MatchConfirmed() const {
@@ -288,13 +302,7 @@ MultiQueryEvaluator::MultiQueryEvaluator(EngineOptions options)
       // per-engine path wholesale.
       shared_enabled_(options.enable_shared_index &&
                       !options.capture_output_subtrees &&
-                      options.max_live_structures == 0) {
-  if (obs::Enabled()) {
-    sampler_ = obs::EventCostSampler(
-        obs::MetricsRegistry::Default().GetHistogram("xaos_engine_event_ns"));
-    sample_events_ = true;
-  }
-}
+                      options.max_live_structures == 0) {}
 
 size_t MultiQueryEvaluator::AddQuery(const Query& query,
                                      std::string_view label) {
@@ -467,15 +475,18 @@ void MultiQueryEvaluator::AbortDocument(const Status& cause) {
 
 void MultiQueryEvaluator::StartElement(const xml::QName& name,
                                        xml::AttributeSpan attributes) {
-  TimedDispatch([&] { fleet_.StartElement(name, attributes); });
+  fleet_.ReplayRun(LiveEvent(xml::BatchedEvent::Kind::kStartElement,
+                             name.symbol, name.text, attributes));
 }
 
 void MultiQueryEvaluator::EndElement(std::string_view name) {
-  TimedDispatch([&] { fleet_.EndElement(name); });
+  fleet_.ReplayRun(LiveEvent(xml::BatchedEvent::Kind::kEndElement,
+                             util::kInvalidSymbol, name));
 }
 
 void MultiQueryEvaluator::Characters(std::string_view text) {
-  fleet_.Characters(text);
+  fleet_.ReplayRun(LiveEvent(xml::BatchedEvent::Kind::kCharacters,
+                             util::kInvalidSymbol, text));
 }
 
 void MultiQueryEvaluator::SkippedSubtree(const xml::SkipReport& report) {
@@ -485,8 +496,8 @@ void MultiQueryEvaluator::SkippedSubtree(const xml::SkipReport& report) {
 void MultiQueryEvaluator::ReplayBatch(
     const xml::EventBatch& batch,
     std::vector<xml::AttributeView>* attr_scratch) {
-  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, flight_shard_,
-                  doc_ordinal_);
+  ReplayBatchImpl(this, &fleet_, batch, attr_scratch, &instruments_,
+                  flight_shard_, doc_ordinal_);
 }
 
 xml::ProjectionFilter* MultiQueryEvaluator::projection_filter() {
@@ -580,12 +591,8 @@ StatusOr<QueryResult> EvaluateStreaming(std::string_view xpath,
                                         EngineOptions options) {
   XAOS_ASSIGN_OR_RETURN(Query query, Query::Compile(xpath));
   StreamingEvaluator evaluator(query, options);
-  if (options.enable_batched_dispatch) {
-    BatchedDispatcher dispatcher(&evaluator);
-    XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &dispatcher));
-  } else {
-    XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &evaluator));
-  }
+  BatchedDispatcher dispatcher(&evaluator);
+  XAOS_RETURN_IF_ERROR(xml::ParseString(xml_text, &dispatcher));
   XAOS_RETURN_IF_ERROR(evaluator.status());
   return evaluator.Result();
 }

@@ -26,6 +26,17 @@
 
 namespace xaos::core {
 
+// Batch-replay instrumentation, resolved once at evaluator construction
+// when obs is enabled (null/disarmed otherwise): the
+// `xaos_dispatch_batches_total` counter and a sampler recording every 8th
+// batch's ns/event into `xaos_engine_event_ns`.
+struct ReplayInstruments {
+  obs::Counter* batches = nullptr;
+  obs::EventCostSampler sampler{nullptr};
+
+  static ReplayInstruments Arm();
+};
+
 // A compiled query: the original expression plus one x-tree per or-free
 // disjunct. Queries are immutable and reusable across documents and
 // evaluators.
@@ -54,9 +65,12 @@ class Query {
 };
 
 // Evaluates a compiled query over one document at a time. The evaluator is
-// itself a ContentHandler: feed it parser or replayer events; one XaosEngine
-// runs per disjunct, dispatched through an EngineFleet (shared document
-// cursor + label index). Reusable: each StartDocument resets all engines.
+// itself a ContentHandler: feed it parser or replayer events directly (each
+// event runs through the fleet's dispatch loop as it arrives), or whole
+// batches through ReplayBatch (core/batched_dispatch.h). One
+// XaosEngine runs per disjunct, dispatched through an EngineFleet (shared
+// document cursor + label index). Reusable: each StartDocument resets all
+// engines.
 class StreamingEvaluator : public xml::ContentHandler {
  public:
   explicit StreamingEvaluator(const Query& query, EngineOptions options = {});
@@ -69,10 +83,10 @@ class StreamingEvaluator : public xml::ContentHandler {
   void Characters(std::string_view text) override;
   void SkippedSubtree(const xml::SkipReport& report) override;
 
-  // Batched dispatch: replays a whole captured EventBatch through the
-  // fleet's devirtualized run loop (EngineFleet::ReplayRun), handling any
-  // document-boundary events the batch contains. Byte-identical to feeding
-  // the same events through the per-event ContentHandler interface.
+  // Replays a whole captured EventBatch through the fleet's devirtualized
+  // run loop (EngineFleet::ReplayRun), handling any document-boundary
+  // events the batch contains. Results equal feeding the same events one by
+  // one; only the moment buffered events take effect differs.
   // `attr_scratch` is per-caller reusable attribute-view storage.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
@@ -118,30 +132,13 @@ class StreamingEvaluator : public xml::ContentHandler {
   }
 
  private:
-  // Runs one event dispatch, charging a sampled subset of events to the
-  // default registry's `xaos_engine_event_ns` histogram.
-  template <typename Fn>
-  void TimedDispatch(Fn&& fn) {
-    if (sample_events_ && sampler_.ShouldSample()) {
-      uint64_t start = obs::NowNs();
-      fn();
-      sampler_.RecordNs(obs::NowNs() - start);
-      return;
-    }
-    fn();
-  }
-
   std::shared_ptr<const std::vector<query::XTree>> trees_;
   std::vector<std::unique_ptr<XaosEngine>> engines_;
   EngineFleet fleet_;
   query::ProjectionGate gate_;
   obs::MetricsRegistry* registry_ = nullptr;  // EngineOptions::metrics_registry
   Status abort_status_;  // non-OK while the last document was abandoned
-  // Per-event cost sampling into the default registry's
-  // `xaos_engine_event_ns` histogram; armed at construction when obs is
-  // enabled, otherwise a single dead branch per event.
-  bool sample_events_ = false;
-  obs::EventCostSampler sampler_{nullptr};
+  ReplayInstruments instruments_ = ReplayInstruments::Arm();
   uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
   uint64_t doc_begin_ns_ = 0;  // StartDocument timestamp when observing
 };
@@ -184,8 +181,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   void Characters(std::string_view text) override;
   void SkippedSubtree(const xml::SkipReport& report) override;
 
-  // Batched dispatch: replays a whole captured EventBatch through the
-  // fleet's devirtualized run loop; see StreamingEvaluator::ReplayBatch.
+  // Replays a whole captured EventBatch through the fleet's devirtualized
+  // run loop; see StreamingEvaluator::ReplayBatch.
   void ReplayBatch(const xml::EventBatch& batch,
                    std::vector<xml::AttributeView>* attr_scratch);
 
@@ -271,17 +268,6 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   // `registry`.
   void ExportSharedMetrics(obs::MetricsRegistry* registry) const;
 
-  template <typename Fn>
-  void TimedDispatch(Fn&& fn) {
-    if (sample_events_ && sampler_.ShouldSample()) {
-      uint64_t start = obs::NowNs();
-      fn();
-      sampler_.RecordNs(obs::NowNs() - start);
-      return;
-    }
-    fn();
-  }
-
   EngineOptions options_;
   std::vector<QuerySlot> queries_;
   std::vector<std::unique_ptr<XaosEngine>> engines_;
@@ -302,8 +288,7 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   query::ProjectionGate gate_;
   size_t gate_built_for_ = 0;  // query count the gate's spec unions over
   Status abort_status_;  // non-OK while the last document was abandoned
-  bool sample_events_ = false;
-  obs::EventCostSampler sampler_{nullptr};
+  ReplayInstruments instruments_ = ReplayInstruments::Arm();
   uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
   uint64_t doc_begin_ns_ = 0;  // StartDocument timestamp when observing
   int flight_shard_ = -1;

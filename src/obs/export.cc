@@ -72,7 +72,7 @@ std::string_view MetricHelpText(std::string_view base) {
       {"xaos_scanner_backend",
        "Active structural-scanner backend (1 for the selected kernel)."},
       {"xaos_engine_event_ns",
-       "Sampled per-event dispatch latency in nanoseconds."},
+       "Dispatch cost in nanoseconds per event of every 8th replayed batch."},
       {"xaos_engine_elements_total", "Elements dispatched to engines."},
       {"xaos_engine_elements_discarded_total",
        "Elements discarded by label-index dispatch before any engine."},

@@ -421,6 +421,33 @@ TEST(DisabledModeTest, EnabledModeFlushesParserAndCompileMetrics) {
   SetEnabled(false);
   MetricsRegistry::Default().Clear();
 }
+
+TEST(DisabledModeTest, BatchedDispatchSamplesEngineEventCost) {
+  // Shipped drivers feed BatchedDispatcher (EvaluateStreaming included):
+  // replayed batches are sampled into xaos_engine_event_ns, the first one
+  // always, then every 8th.
+  SetEnabled(true);
+  MetricsRegistry::Default().Clear();
+
+  std::string doc = "<a>";
+  for (int i = 0; i < 2000; ++i) doc += "<b><c/></b>";
+  doc += "</a>";
+  StatusOr<core::QueryResult> result =
+      core::EvaluateStreaming("//b/ancestor::a", doc, {});
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->matched);
+
+  MetricsSnapshot snapshot = MetricsRegistry::Default().Snapshot();
+  const uint64_t batches = snapshot.counters.at("xaos_dispatch_batches_total");
+  const HistogramSnapshot& cost = snapshot.histograms.at("xaos_engine_event_ns");
+  // 8002 events in 256-event batches.
+  EXPECT_GE(batches, 32u);
+  EXPECT_EQ(cost.count, (batches + 7) / 8);
+  EXPECT_GT(cost.max, 0u);
+
+  SetEnabled(false);
+  MetricsRegistry::Default().Clear();
+}
 #endif  // XAOS_OBS_ENABLED
 
 TEST(ExportTest, WriteMetricsJsonRejectsUnwritablePath) {
