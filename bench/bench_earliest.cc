@@ -6,6 +6,10 @@
 //   * wide:  a flat catalog of closed <item><name/><price/></item> rows
 //     matched by //item/name — the streaming-friendly case where the
 //     buffered peak should collapse from O(document) to O(open depth);
+//   * wide2: the large wide catalog under the two-output //$item/$name —
+//     every row yields two items; reclamation stays off for multi-output
+//     queries, so only time-to-first-match moves, while result assembly
+//     handles twice the items;
 //   * deep:  a spine of <x> levels carrying closed self-recursive
 //     <a><a/></a> teeth matched by //a//a — recursion plus noise depth.
 //
@@ -133,6 +137,8 @@ int main(int argc, char** argv) {
   shapes.push_back({"wide", "//item/name", WideDocument(small_items),
                     small_items});
   shapes.push_back({"wide", "//item/name", WideDocument(large_items),
+                    large_items});
+  shapes.push_back({"wide2", "//$item/$name", WideDocument(large_items),
                     large_items});
   shapes.push_back({"deep", "//a//a",
                     DeepDocument(deep_levels, deep_teeth),

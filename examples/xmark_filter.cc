@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  xaos::core::QueryResult result = evaluator.Result();
+  const xaos::core::QueryResult& result = evaluator.Result();
   xaos::core::EngineStats stats = evaluator.AggregateStats();
   std::cout << "matched category names: " << result.items.size() << "\n";
   size_t shown = 0;

@@ -125,6 +125,22 @@ class MatchingStructure {
   bool reclaimed() const { return reclaimed_; }
   void set_reclaimed() { reclaimed_ = true; }
 
+  // --- output assembly ---
+  // Set once this structure's output item is in the result (emitted early
+  // or collected by the end-of-document traversal), so the common path
+  // deduplicates without hashing element ids.
+  bool emitted() const { return emitted_; }
+  void set_emitted() { emitted_ = true; }
+  // An *output twin* shares its element with another output structure (one
+  // element matched to two or more output x-nodes, e.g. //$a/self::$a).
+  // Per-structure marks cannot deduplicate twins, so the engine falls back
+  // to an element-id set for them.
+  bool output_twin() const { return output_twin_; }
+  void set_output_twin() { output_twin_ = true; }
+  // Mark of the end-of-document marked traversal (paper Section 4.4).
+  bool visited() const { return visited_; }
+  void set_visited() { visited_ = true; }
+
   // Parents that currently reference this structure, for undo cascades.
   struct BackRef {
     std::weak_ptr<MatchingStructure> parent;
@@ -147,12 +163,18 @@ class MatchingStructure {
   util::ArenaVector<SlotVector> slots_;
   util::ArenaVector<int> confirmed_counts_;  // parallel to slots_
   util::ArenaVector<BackRef> backrefs_;
-  bool closed_ = false;
-  bool dead_ = false;
-  bool confirmed_ = false;
-  bool propagated_ = false;
-  bool anchored_ = false;
-  bool reclaimed_ = false;
+  // One-bit flags: they share the padding ahead of stats_, so a new flag
+  // does not grow the object or its accounted bytes (a test pins the
+  // size).
+  bool closed_ : 1 = false;
+  bool dead_ : 1 = false;
+  bool confirmed_ : 1 = false;
+  bool propagated_ : 1 = false;
+  bool anchored_ : 1 = false;
+  bool reclaimed_ : 1 = false;
+  bool emitted_ : 1 = false;
+  bool output_twin_ : 1 = false;
+  bool visited_ : 1 = false;
   EngineStats* stats_;
   uint64_t accounted_bytes_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "core/multi_engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "core/batched_dispatch.h"
@@ -49,28 +48,42 @@ void RecordDocumentBoundary(obs::MetricsRegistry* registry,
   }
 }
 
-// Unions the results of the engines in [begin, end): document order,
-// deduplicated by node id (disjuncts of one query can select the same node;
-// ids are comparable across engines because the fleet numbers nodes with
-// one shared cursor).
-QueryResult MergeResults(const std::vector<std::unique_ptr<XaosEngine>>& engines,
-                         size_t begin, size_t end) {
-  QueryResult merged;
-  std::unordered_set<ElementId> seen;
+// Unions the results of the engines in [begin, end) into `merged`:
+// document order, deduplicated by node id (disjuncts of one query can
+// select the same node; ids are comparable across engines because the
+// fleet numbers nodes with one shared cursor). Each engine's items are
+// already sorted and duplicate-free, so this is a k-way merge that takes
+// the smallest head (the earliest engine's on ties) and skips every head
+// with that id — no hashing, no sort. `merged` and `heads` (per-engine
+// read positions) keep their capacity across documents.
+void MergeResults(const std::vector<std::unique_ptr<XaosEngine>>& engines,
+                  size_t begin, size_t end, std::vector<size_t>* heads,
+                  QueryResult* merged) {
+  merged->matched = false;
+  merged->items.clear();
   for (size_t i = begin; i < end; ++i) {
-    const QueryResult& result = engines[i]->result();
-    merged.matched = merged.matched || result.matched;
-    for (const OutputItem& item : result.items) {
-      if (seen.insert(item.info.id).second) {
-        merged.items.push_back(item);
+    merged->matched = merged->matched || engines[i]->result().matched;
+  }
+  heads->assign(end - begin, 0);
+  while (true) {
+    const OutputItem* next = nullptr;
+    for (size_t i = begin; i < end; ++i) {
+      const std::vector<OutputItem>& items = engines[i]->result().items;
+      const size_t head = (*heads)[i - begin];
+      if (head < items.size() &&
+          (next == nullptr || items[head].info.id < next->info.id)) {
+        next = &items[head];
       }
     }
+    if (next == nullptr) return;
+    const ElementId id = next->info.id;
+    merged->items.push_back(*next);
+    for (size_t i = begin; i < end; ++i) {
+      const std::vector<OutputItem>& items = engines[i]->result().items;
+      size_t& head = (*heads)[i - begin];
+      if (head < items.size() && items[head].info.id == id) ++head;
+    }
   }
-  std::sort(merged.items.begin(), merged.items.end(),
-            [](const OutputItem& a, const OutputItem& b) {
-              return a.info.id < b.info.id;
-            });
-  return merged;
 }
 
 Status FirstError(const std::vector<std::unique_ptr<XaosEngine>>& engines) {
@@ -221,6 +234,8 @@ StreamingEvaluator::StreamingEvaluator(const Query& query,
 void StreamingEvaluator::StartDocument() {
   abort_status_ = Status::Ok();
   gate_.Reset();
+  merged_.matched = false;
+  merged_.items.clear();
   if (obs::Enabled() || obs::flight::Active()) {
     ++doc_ordinal_;
     doc_begin_ns_ = obs::NowNs();
@@ -230,6 +245,9 @@ void StreamingEvaluator::StartDocument() {
 
 void StreamingEvaluator::EndDocument() {
   fleet_.EndDocument();
+  if (engines_.size() > 1) {
+    MergeResults(engines_, 0, engines_.size(), &merge_heads_, &merged_);
+  }
   if (obs::Enabled() || obs::flight::Active()) {
     RecordDocumentBoundary(obs::Enabled() ? registry_ : nullptr,
                            AggregateStats(), doc_ordinal_, /*shard=*/-1,
@@ -283,8 +301,8 @@ Status StreamingEvaluator::status() const {
   return FirstError(engines_);
 }
 
-QueryResult StreamingEvaluator::Result() const {
-  return MergeResults(engines_, 0, engines_.size());
+const QueryResult& StreamingEvaluator::Result() const {
+  return engines_.size() == 1 ? engines_.front()->result() : merged_;
 }
 
 EngineStats StreamingEvaluator::AggregateStats() const {
@@ -345,6 +363,7 @@ size_t MultiQueryEvaluator::AddQuery(const Query& query,
     fleet_.AddEngine(engines_.back().get());
   }
   slot.end = engines_.size();
+  if (slot.end - slot.begin > 1) union_slots_.push_back(queries_.size());
   queries_.push_back(std::move(slot));
   return queries_.size() - 1;
 }
@@ -366,11 +385,19 @@ void MultiQueryEvaluator::StartDocument() {
     doc_begin_ns_ = obs::NowNs();
   }
   EnsureSharedIndex();
+  for (size_t q : union_slots_) {
+    queries_[q].merged.matched = false;
+    queries_[q].merged.items.clear();
+  }
   fleet_.StartDocument();
 }
 
 void MultiQueryEvaluator::EndDocument() {
   fleet_.EndDocument();
+  for (size_t q : union_slots_) {
+    QuerySlot& slot = queries_[q];
+    MergeResults(engines_, slot.begin, slot.end, &merge_heads_, &slot.merged);
+  }
   if (obs::Enabled() || obs::flight::Active()) FinishDocumentObservability();
 }
 
@@ -563,18 +590,19 @@ bool MultiQueryEvaluator::MatchConfirmed(size_t q) const {
   return false;
 }
 
-QueryResult MultiQueryEvaluator::Result(size_t q) const {
+const QueryResult& MultiQueryEvaluator::Result(size_t q) const {
   const QuerySlot& slot = queries_[q];
   switch (slot.backend) {
     case QuerySlot::Backend::kAlias:
       return Result(slot.alias_of);
     case QuerySlot::Backend::kShared:
       return shared_matcher_ != nullptr ? shared_matcher_->Result(slot.shared_id)
-                                        : QueryResult{};
+                                        : EmptyQueryResult();
     case QuerySlot::Backend::kEngine:
-      return MergeResults(engines_, slot.begin, slot.end);
+      return slot.end - slot.begin == 1 ? engines_[slot.begin]->result()
+                                        : slot.merged;
   }
-  return QueryResult{};
+  return EmptyQueryResult();
 }
 
 EngineStats MultiQueryEvaluator::AggregateStats() const {

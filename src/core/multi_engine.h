@@ -118,8 +118,12 @@ class StreamingEvaluator : public xml::ContentHandler {
   // see XaosEngine::match_confirmed).
   bool MatchConfirmed() const;
   // Union of the disjuncts' results (document order, deduplicated). Valid
-  // after EndDocument.
-  QueryResult Result() const;
+  // after EndDocument; the reference (and the items it holds) stays valid
+  // until the next StartDocument or AbortDocument, which reuse its storage
+  // — copy it to keep a result across documents. A single-disjunct query
+  // returns its engine's result directly; unions are merged once, at
+  // EndDocument.
+  const QueryResult& Result() const;
   // Sum of the per-engine statistics.
   EngineStats AggregateStats() const;
   // Folds AggregateStats() into `registry` (see EngineStats::ToMetrics).
@@ -137,6 +141,10 @@ class StreamingEvaluator : public xml::ContentHandler {
   EngineFleet fleet_;
   query::ProjectionGate gate_;
   obs::MetricsRegistry* registry_ = nullptr;  // EngineOptions::metrics_registry
+  // Union of several disjuncts' results, merged at EndDocument (unused for
+  // one engine), and the merge's per-engine read positions.
+  QueryResult merged_;
+  std::vector<size_t> merge_heads_;
   Status abort_status_;  // non-OK while the last document was abandoned
   ReplayInstruments instruments_ = ReplayInstruments::Arm();
   uint64_t doc_ordinal_ = 0;   // documents started (flight attribution)
@@ -210,8 +218,11 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   bool Matched(size_t q) const;
   // True as soon as query `q`'s match is guaranteed (usable mid-stream).
   bool MatchConfirmed(size_t q) const;
-  // Query `q`'s result, disjuncts unioned. Valid after EndDocument.
-  QueryResult Result(size_t q) const;
+  // Query `q`'s result, disjuncts unioned. Valid after EndDocument, by
+  // reference until the next StartDocument or AbortDocument (storage is
+  // reused per document — copy to keep it). Aliases return their first
+  // copy's result; multi-disjunct unions are merged once, at EndDocument.
+  const QueryResult& Result(size_t q) const;
 
   // Sum of all engines' statistics.
   EngineStats AggregateStats() const;
@@ -246,6 +257,8 @@ class MultiQueryEvaluator : public xml::ContentHandler {
     uint32_t shared_id = 0;  // kShared: subscription id in the shared index
     size_t alias_of = 0;     // kAlias: canonical slot index
     std::string label;
+    // kEngine with several disjuncts: their union, merged at EndDocument.
+    QueryResult merged;
     // Per-subscription latency series, resolved lazily on first matching
     // document (pointers are stable for the registry's lifetime).
     obs::Histogram* match_latency = nullptr;
@@ -281,6 +294,10 @@ class MultiQueryEvaluator : public xml::ContentHandler {
   size_t shared_built_for_ = 0;  // builder sub count the index covers
   size_t shared_subscriptions_ = 0;
   size_t alias_subscriptions_ = 0;
+  // kEngine slots with more than one engine (merged per document) and the
+  // merge's per-engine read positions.
+  std::vector<size_t> union_slots_;
+  std::vector<size_t> merge_heads_;
   // expression -> canonical slot index, for byte-identical dedupe.
   std::unordered_map<std::string, size_t> by_expression_;
   // Last exported cumulative dispatch-saved value (counter delta base).

@@ -436,7 +436,7 @@ bool ParallelFleet::Matched(size_t q) const {
   return workers_[a.shard].evaluator->Matched(a.local_index);
 }
 
-QueryResult ParallelFleet::Result(size_t q) const {
+const QueryResult& ParallelFleet::Result(size_t q) const {
   const Assignment& a = assignments_[q];
   return workers_[a.shard].evaluator->Result(a.local_index);
 }

@@ -169,7 +169,9 @@ class ParallelFleet : public xml::ContentHandler,
   // across all shards, if any.
   Status status() const;
   bool Matched(size_t q) const;
-  QueryResult Result(size_t q) const;
+  // Forwards to the owning shard's MultiQueryEvaluator::Result: the
+  // reference stays valid until the next StartDocument or AbortDocument.
+  const QueryResult& Result(size_t q) const;
   // Indices of all matched queries, ascending — the per-document "merge"
   // of the shard answers for routing consumers.
   std::vector<size_t> MatchedQueries() const;

@@ -16,4 +16,9 @@ std::vector<std::string> QueryResult::ItemNames() const {
   return names;
 }
 
+const QueryResult& EmptyQueryResult() {
+  static const QueryResult* const kEmpty = new QueryResult();
+  return *kEmpty;
+}
+
 }  // namespace xaos::core

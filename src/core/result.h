@@ -41,6 +41,10 @@ struct QueryResult {
   std::vector<std::string> ItemNames() const;
 };
 
+// A shared unmatched, item-free result: what by-reference Result() getters
+// return when no backend holds one (valid for the program's lifetime).
+const QueryResult& EmptyQueryResult();
+
 // One output tuple: the projection of a single total matching onto the
 // output x-nodes, ordered by x-node id.
 using OutputTuple = std::vector<ElementInfo>;

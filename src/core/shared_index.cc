@@ -320,9 +320,9 @@ void SharedMatcher::StartDocument() {
       1, index_->HasDescOut(SharedIndex::kRootState) ? kRootSetId
                                                      : kEmptySetId);
   for (SubState& sub : subs_) {
-    sub.confirmed = false;
     sub.confirm_ns = 0;
-    sub.items.clear();
+    sub.result.matched = false;
+    sub.result.items.clear();
   }
   confirmed_subs_ = 0;
   elements_document_ = 0;
@@ -332,8 +332,8 @@ void SharedMatcher::StartDocument() {
 void SharedMatcher::Fire(uint32_t sub, const DocumentCursor::Node& node,
                          std::string_view name) {
   SubState& state = subs_[sub];
-  if (!state.confirmed) {
-    state.confirmed = true;
+  if (!state.result.matched) {
+    state.result.matched = true;
     ++confirmed_subs_;
     if (obs::Enabled()) state.confirm_ns = obs::NowNs();
   }
@@ -341,7 +341,8 @@ void SharedMatcher::Fire(uint32_t sub, const DocumentCursor::Node& node,
   // Several accepting states (disjunct chains) can select the same element;
   // ids are strictly increasing across elements, so adjacent-id dedup keeps
   // the item list sorted and duplicate-free.
-  if (!state.items.empty() && state.items.back().info.id == node.id) return;
+  std::vector<OutputItem>& items = state.result.items;
+  if (!items.empty() && items.back().info.id == node.id) return;
   OutputItem item;
   item.info.id = node.id;
   item.info.parent_id = node.parent_id;
@@ -349,7 +350,7 @@ void SharedMatcher::Fire(uint32_t sub, const DocumentCursor::Node& node,
   item.info.level = static_cast<int>(node.level);
   item.info.kind = query::DocNodeKind::kElement;
   item.info.name.assign(name);
-  state.items.push_back(std::move(item));
+  items.push_back(std::move(item));
 }
 
 void SharedMatcher::EndDocument() { end_seen_ = true; }
@@ -587,13 +588,6 @@ void SharedMatcher::EndElement() {
   // Over the cap only when a compaction had to keep a deeper open path than
   // the cap allows; closing elements lets the pool shrink back.
   if (sets_.size() > flat_set_limit_) CompactSets();
-}
-
-QueryResult SharedMatcher::Result(uint32_t sub) const {
-  QueryResult result;
-  result.matched = Matched(sub);
-  if (result.matched && !bool_only_) result.items = subs_[sub].items;
-  return result;
 }
 
 }  // namespace xaos::core

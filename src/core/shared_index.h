@@ -290,15 +290,20 @@ class SharedMatcher {
 
   // Valid after EndDocument (false mid-stream and after an abort).
   bool Matched(uint32_t sub) const {
-    return end_seen_ && subs_[sub].confirmed;
+    return end_seen_ && subs_[sub].result.matched;
   }
   // Monotone mid-stream confirmation, like XaosEngine::match_confirmed.
-  bool MatchConfirmed(uint32_t sub) const { return subs_[sub].confirmed; }
+  bool MatchConfirmed(uint32_t sub) const { return subs_[sub].result.matched; }
   // obs::NowNs() of the confirmation transition; 0 unmatched / obs off.
   uint64_t confirm_ns(uint32_t sub) const { return subs_[sub].confirm_ns; }
   // The subscription's result; items in document order, deduplicated
-  // (empty under bool_only, like stop_after_confirmed_match).
-  QueryResult Result(uint32_t sub) const;
+  // (empty under bool_only, like stop_after_confirmed_match). Valid after
+  // EndDocument (the shared empty result before it and after an abort), by
+  // reference until the next StartDocument or AbortDocument: each
+  // subscription's result is kept in place and its storage reused.
+  const QueryResult& Result(uint32_t sub) const {
+    return end_seen_ ? subs_[sub].result : EmptyQueryResult();
+  }
 
   // --- accounting (cumulative across documents) ---
   uint64_t elements_total() const { return elements_total_; }
@@ -310,9 +315,10 @@ class SharedMatcher {
 
  private:
   struct SubState {
-    bool confirmed = false;
     uint64_t confirm_ns = 0;
-    std::vector<OutputItem> items;
+    // Built in place as elements fire; result.matched doubles as the
+    // monotone confirmation flag.
+    QueryResult result;
   };
 
   void Fire(uint32_t sub, const DocumentCursor::Node& node,

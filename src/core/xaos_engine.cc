@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "obs/timer.h"
@@ -183,7 +182,10 @@ void XaosEngine::ResetDocumentState() {
   inert_ = false;
   error_ = Status::Ok();
   stats_ = EngineStats{};
-  result_ = QueryResult{};
+  // Cleared, not reassigned: the item vectors keep their capacity across
+  // documents, bounded (like the frame stack) by the largest result seen.
+  result_.matched = false;
+  result_.items.clear();
   // Releasing the previous document's structures above returned their
   // blocks to the arena's free lists; from here on the delta of
   // bytes_allocated() is this document's allocation traffic.
@@ -353,6 +355,7 @@ void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
 
   CollectCandidates(kind, symbol, &candidate_scratch_);
   bool info_filled = false;
+  int outputs = 0;  // output x-nodes this node matched
   for (XNodeId v : candidate_scratch_) {
     const NodeTestSpec& spec = tree_->node(v).test;
     if (!query::MatchesSpec(spec, kind, name, value)) continue;
@@ -373,6 +376,16 @@ void XaosEngine::ProcessStart(DocNodeKind kind, std::string_view name,
         static_cast<int>(tree_->node(v).children.size()), &stats_, &arena_);
     frame.xnodes.push_back(v);
     frame.structures.push_back(std::move(structure));
+    if (is_output_[static_cast<size_t>(v)]) ++outputs;
+  }
+  if (outputs > 1) {
+    // Output twins: this element answers several output x-nodes, so its
+    // structures deduplicate through emitted_ids_ instead of their marks.
+    for (size_t i = 0; i < frame.xnodes.size(); ++i) {
+      if (is_output_[static_cast<size_t>(frame.xnodes[i])]) {
+        frame.structures[i]->set_output_twin();
+      }
+    }
   }
   if (!info_filled) {
     frame.info.name.clear();
@@ -832,23 +845,32 @@ void XaosEngine::Anchor(MatchingStructure* m) {
   // Recursively anchor the confirmed entries of stored (non-counted)
   // slots: every one of them is reachable through `m`'s confirmed link.
   // Two-phase: anchoring a child can reclaim it, which erases it from the
-  // slot vector being iterated, so collect strong references first.
-  std::vector<MatchingPtr> to_anchor;
+  // slot vector being iterated, so collect strong references first — into
+  // this call's segment [base, end) of the shared scratch stack. Nested
+  // calls append above `end` and truncate back before returning; entries
+  // are read by index because an append may reallocate.
+  const size_t base = anchor_scratch_.size();
   const std::vector<XNodeId>& children = tree_->node(m->xnode()).children;
   for (size_t slot = 0; slot < children.size(); ++slot) {
     if (IsCountedXNode(children[slot])) continue;
     for (const MatchingPtr& child : m->slot(static_cast<int>(slot))) {
       if (child->confirmed() && !child->anchored()) {
-        to_anchor.push_back(child);
+        anchor_scratch_.push_back(child);
       }
     }
   }
-  for (const MatchingPtr& child : to_anchor) Anchor(child.get());
+  const size_t end = anchor_scratch_.size();
+  for (size_t i = base; i < end; ++i) Anchor(anchor_scratch_[i].get());
   MaybeReclaim(m);
+  anchor_scratch_.resize(base);
 }
 
 void XaosEngine::EmitEarly(MatchingStructure* m) {
-  if (!emitted_ids_.insert(m->element().id).second) return;
+  if (m->emitted()) return;
+  m->set_emitted();
+  if (m->output_twin() && !emitted_ids_.insert(m->element().id).second) {
+    return;
+  }
   OutputItem item;
   item.info = m->element();
   auto it = captured_.find(m->element().id);
@@ -1026,7 +1048,7 @@ void XaosEngine::EndDocument() {
     stats_.arena_bytes_allocated = arena_.bytes_allocated() - arena_baseline_;
     // Early-terminated filtering mode: the match is guaranteed; per-item
     // results were not tracked past the confirmation point.
-    result_ = QueryResult{};
+    result_.items.clear();
     result_.matched = true;
     done_ = true;
     return;
@@ -1045,7 +1067,8 @@ void XaosEngine::EndDocument() {
 }
 
 void XaosEngine::BuildResult(const MatchingPtr& root_structure) {
-  result_ = QueryResult{};
+  result_.matched = false;
+  result_.items.clear();
   if (root_structure == nullptr || root_structure->dead() ||
       !root_structure->AllSlotsNonEmpty()) {
     // Emission requires an anchored (confirmed-through-Root) structure, so
@@ -1056,43 +1079,47 @@ void XaosEngine::BuildResult(const MatchingPtr& root_structure) {
   result_.matched = true;
 
   // Items already emitted by earliest answering come first; the residual
-  // marked traversal adds only what was never anchored (it skips emitted
-  // ids), and the final sort restores document order — byte-identical to
-  // the non-earliest engine.
-  result_.items = std::move(early_items_);
-  early_items_.clear();
+  // marked traversal adds only what was never emitted, and the final sort
+  // restores document order — byte-identical to the non-earliest engine.
+  // Swapping keeps both vectors' capacity for the next document.
+  result_.items.swap(early_items_);
 
   // Marked traversal (Section 4.4): every structure reachable from a
   // satisfied root participates in at least one total matching, so each
   // output x-node's reachable structures are exactly the selected nodes.
-  std::unordered_set<const MatchingStructure*> visited;
-  std::unordered_set<ElementId> emitted(emitted_ids_.begin(),
-                                        emitted_ids_.end());
-  std::vector<const MatchingStructure*> pending{root_structure.get()};
-  visited.insert(root_structure.get());
+  // Structures carry their own visited/emitted marks; only output twins
+  // consult the element-id set.
+  std::vector<MatchingStructure*>& pending = traversal_scratch_;
+  pending.assign(1, root_structure.get());
+  root_structure->set_visited();
   while (!pending.empty()) {
-    const MatchingStructure* m = pending.back();
+    MatchingStructure* m = pending.back();
     pending.pop_back();
-    if (is_output_[static_cast<size_t>(m->xnode())] &&
-        emitted.insert(m->element().id).second) {
-      OutputItem item;
-      item.info = m->element();
-      auto it = captured_.find(m->element().id);
-      if (it != captured_.end()) item.captured_xml = it->second;
-      result_.items.push_back(std::move(item));
+    if (is_output_[static_cast<size_t>(m->xnode())] && !m->emitted()) {
+      m->set_emitted();
+      if (!m->output_twin() || emitted_ids_.insert(m->element().id).second) {
+        OutputItem item;
+        item.info = m->element();
+        auto it = captured_.find(m->element().id);
+        if (it != captured_.end()) item.captured_xml = it->second;
+        result_.items.push_back(std::move(item));
+      }
     }
     for (int i = 0; i < m->slot_count(); ++i) {
       for (const MatchingPtr& child : m->slot(i)) {
-        if (visited.insert(child.get()).second) {
+        if (!child->visited()) {
+          child->set_visited();
           pending.push_back(child.get());
         }
       }
     }
   }
-  std::sort(result_.items.begin(), result_.items.end(),
-            [](const OutputItem& a, const OutputItem& b) {
-              return a.info.id < b.info.id;
-            });
+  auto by_id = [](const OutputItem& a, const OutputItem& b) {
+    return a.info.id < b.info.id;
+  };
+  if (!std::is_sorted(result_.items.begin(), result_.items.end(), by_id)) {
+    std::sort(result_.items.begin(), result_.items.end(), by_id);
+  }
 }
 
 TupleEnumeration XaosEngine::OutputTuples(size_t max_tuples) const {

@@ -15,7 +15,8 @@
 //     retracted (undone, recursively) if the optimism proves wrong;
 //   * output emission (Section 4.4): at end of document, a marked traversal
 //     of the structure graph projects all total matchings at Root onto the
-//     output x-node(s).
+//     output x-node(s); with earliest answering most items are emitted
+//     before it, and per-structure marks keep the two from overlapping.
 //
 // The engine is a ContentHandler, so it can be driven by xml::SaxParser
 // (streaming), by dom::ReplayDocument (the paper's χαoς(DOM) configuration)
@@ -427,9 +428,11 @@ class XaosEngine : public xml::ContentHandler {
   bool external_cursor_ = false;
   // arena_.bytes_allocated() at the start of the current document.
   uint64_t arena_baseline_ = 0;
-  // Items emitted before EndDocument (proof order) and the ids already
-  // emitted — BuildResult merges these with the residual traversal and
-  // restores document order.
+  // Items emitted before EndDocument (proof order); BuildResult merges
+  // them with the residual traversal and restores document order.
+  // Structures dedupe emission through their own emitted mark; the id set
+  // only holds the elements of output twins (see
+  // MatchingStructure::output_twin), which several structures share.
   std::vector<OutputItem> early_items_;
   std::unordered_set<ElementId> emitted_ids_;
   bool done_ = false;
@@ -442,6 +445,11 @@ class XaosEngine : public xml::ContentHandler {
 
   mutable std::vector<query::XNodeId> candidate_scratch_;
   std::vector<size_t> order_scratch_;
+  // Strong references Anchor collects before recursing; each call owns the
+  // segment it appended and truncates back to its base.
+  std::vector<MatchingPtr> anchor_scratch_;
+  // BuildResult's traversal work list.
+  std::vector<MatchingStructure*> traversal_scratch_;
 };
 
 }  // namespace xaos::core

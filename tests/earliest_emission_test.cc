@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "baseline/compare.h"
+#include "core/matching_structure.h"
 #include "core/multi_engine.h"
 #include "core/parallel_fleet.h"
 #include "core/xaos_engine.h"
@@ -371,6 +374,122 @@ TEST(EarliestEmissionTest, EngineReusableAcrossDocuments) {
   ASSERT_TRUE(xml::ParseString("<a><b><c/></b></a>", &engine).ok());
   EXPECT_EQ(engine.result().items.size(), 1u);
 }
+
+// --- output twins -------------------------------------------------------
+// One element matched to two or more output x-nodes. Emission dedupes
+// through per-structure marks except for twins, which fall back to an
+// element-id set; these tests pin that fallback.
+
+const char* const kTwinQueries[] = {
+    "//$a/self::$a",
+    "//$a/ancestor-or-self::$a",
+    "//$*/descendant-or-self::$a",
+    "//$a//$*",
+};
+
+const char kTwinDocument[] =
+    "<r><a><a><b><a/></b></a><c><a><a/></a></c></a><b><a><c/></a></b><a/></r>";
+
+// A random element tree over the tags a, b and c: about `elements`
+// elements, at most `max_depth` deep.
+std::string RandomTwinDocument(uint64_t seed, int elements, int max_depth) {
+  std::mt19937_64 rng(seed);
+  const char* const tags[] = {"a", "b", "c"};
+  std::string xml = "<r>";
+  std::vector<const char*> open;
+  for (int made = 0; made < elements;) {
+    bool close = !open.empty() &&
+                 (static_cast<int>(open.size()) >= max_depth || rng() % 3 == 0);
+    if (close) {
+      xml += std::string("</") + open.back() + ">";
+      open.pop_back();
+      continue;
+    }
+    const char* tag = tags[rng() % 3];
+    xml += std::string("<") + tag + ">";
+    open.push_back(tag);
+    ++made;
+  }
+  while (!open.empty()) {
+    xml += std::string("</") + open.back() + ">";
+    open.pop_back();
+  }
+  return xml + "</r>";
+}
+
+// Evaluates `expression` over `xml` fed in `chunk`-byte pieces, with and
+// without earliest emission, and checks the twin contract: the sink fires
+// exactly once per final item id, and the final items equal both the
+// collect-at-end run and the brute-force oracle.
+void ExpectTwinContract(const std::string& expression, const std::string& xml,
+                        size_t chunk) {
+  StatusOr<core::Query> query = core::Query::Compile(expression);
+  ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
+  core::EngineOptions off;
+  off.enable_earliest_emission = false;
+  core::QueryResult oracle = EvaluateChunked(*query, xml, chunk, off);
+
+  core::EngineOptions on;
+  on.enable_earliest_emission = true;
+  std::vector<core::ElementId> sink_ids;
+  on.early_item_sink = [&sink_ids](const core::OutputItem& item) {
+    sink_ids.push_back(item.info.id);
+  };
+  core::QueryResult earliest = EvaluateChunked(*query, xml, chunk, on);
+
+  const std::string where = expression + " chunk=" + std::to_string(chunk) +
+                            " over " + xml;
+  EXPECT_EQ(Signature(oracle), Signature(earliest)) << where;
+  EXPECT_EQ(test::EvalBruteForce(expression, xml).items,
+            baseline::CanonicalFromResult(earliest))
+      << where;
+  std::sort(sink_ids.begin(), sink_ids.end());
+  EXPECT_EQ(sink_ids, earliest.ItemIds()) << where;
+}
+
+TEST(EarliestEmissionTest, OutputTwinsEmitOncePerElement) {
+  const std::string xml = kTwinDocument;
+  for (const char* expression : kTwinQueries) {
+    for (size_t chunk : {xml.size(), size_t{1}}) {
+      ExpectTwinContract(expression, xml, chunk);
+    }
+  }
+  // The document does produce twins: every <a> is selected by both output
+  // x-nodes of //$a/self::$a, and still reported once.
+  StatusOr<core::QueryResult> result =
+      core::EvaluateStreaming("//$a/self::$a", xml);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->items.size(), 7u);
+}
+
+TEST(EarliestEmissionTest, OutputTwinsRandomDocuments) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const std::string xml = RandomTwinDocument(seed, 40, 6);
+    for (const char* expression : kTwinQueries) {
+      for (size_t chunk : {xml.size(), size_t{1}}) {
+        ExpectTwinContract(expression, xml, chunk);
+      }
+    }
+  }
+}
+
+// MatchingStructure's field layout with its flags as six plain bools.
+// Packing the emission/traversal marks into one-bit fields must not grow
+// the object: the per-structure byte accounting (peak matching bytes)
+// depends on sizeof(MatchingStructure).
+struct SixBoolMatchingStructureLayout {
+  query::XNodeId xnode;
+  core::ElementInfo element;
+  util::ArenaVector<core::MatchingStructure::SlotVector> slots;
+  util::ArenaVector<int> confirmed_counts;
+  util::ArenaVector<core::MatchingStructure::BackRef> backrefs;
+  bool flags[6];
+  core::EngineStats* stats;
+  uint64_t accounted_bytes;
+};
+static_assert(sizeof(core::MatchingStructure) ==
+                  sizeof(SixBoolMatchingStructureLayout),
+              "MatchingStructure grew: pack new flags into the bit fields");
 
 }  // namespace
 }  // namespace xaos

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baseline/compare.h"
@@ -14,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "test_util.h"
 #include "xml/sax_parser.h"
 
 namespace xaos {
@@ -123,6 +125,116 @@ TEST(MultiQueryEvaluatorTest, ReuseAcrossDocuments) {
   EXPECT_TRUE(multi.Matched(q));
   ASSERT_TRUE(xml::ParseString("<a><b/><c/></a>", &multi).ok());
   EXPECT_FALSE(multi.Matched(q));
+}
+
+// --- unions and result reuse ------------------------------------------------
+// Result() returns by reference into storage each evaluator reuses across
+// documents; unions of several disjuncts are merged once per document.
+
+// Requires `result` to hold exactly the oracle's items, in document order
+// (strictly increasing ids) and without duplicates.
+void ExpectOracleResult(const core::QueryResult& result,
+                        const test::BruteForceAnswer& want,
+                        const std::string& where) {
+  EXPECT_EQ(want.matched, result.matched) << where;
+  EXPECT_EQ(want.items, baseline::CanonicalFromResult(result)) << where;
+  for (size_t i = 1; i < result.items.size(); ++i) {
+    EXPECT_LT(result.items[i - 1].info.id, result.items[i].info.id) << where;
+  }
+}
+
+const char* const kUnionQueries[] = {"//a | //b", "//$a/$b | //b"};
+
+TEST(ResultAssemblyTest, UnionsMatchOracle) {
+  const std::vector<std::string> docs = {
+      "<r><a><b/><a><b><a/></b></a></a><b><a><b/></a></b></r>",
+      "<r><b><b/></b><c><a/></c><a><c><b/></c><b/></a></r>",
+      "<r><c/></r>",
+  };
+  for (const std::string& xml : docs) {
+    for (const char* expression : kUnionQueries) {
+      const test::BruteForceAnswer want = test::EvalBruteForce(expression, xml);
+      StatusOr<core::Query> query = core::Query::Compile(expression);
+      ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
+
+      core::StreamingEvaluator streaming(*query);
+      ASSERT_TRUE(xml::ParseString(xml, &streaming).ok());
+      ExpectOracleResult(streaming.Result(), want,
+                         std::string("streaming ") + expression + " on " + xml);
+
+      for (bool shared : {true, false}) {
+        core::EngineOptions options;
+        options.enable_shared_index = shared;
+        core::MultiQueryEvaluator multi(options);
+        size_t q = multi.AddQuery(*query);
+        ASSERT_TRUE(xml::ParseString(xml, &multi).ok());
+        ExpectOracleResult(multi.Result(q), want,
+                           std::string("multi shared=") +
+                               (shared ? "on " : "off ") + expression +
+                               " on " + xml);
+      }
+    }
+  }
+}
+
+// A catalog of `rows` <item><name/><price/></item> rows.
+std::string Catalog(int rows) {
+  std::string xml = "<catalog>";
+  for (int i = 0; i < rows; ++i) {
+    xml += "<item><name>n" + std::to_string(i) + "</name><price>" +
+           std::to_string(i % 7) + "</price></item>";
+  }
+  return xml + "</catalog>";
+}
+
+TEST(ResultAssemblyTest, ReusedEvaluatorsLeaveNoStaleItems) {
+  // Wide, unmatched, one-item, aborted mid-stream, wide again: each
+  // completed document's Result() must equal the oracle exactly, so no
+  // item of an earlier (larger) result survives in the reused storage.
+  const std::string wide = Catalog(300);
+  const std::vector<std::string> docs = {
+      wide, "<catalog><other/></catalog>", Catalog(1), wide};
+  const size_t abort_before = 3;  // an aborted document precedes docs[3]
+  const std::vector<std::string> expressions = {
+      "//$item/$name", "//item | //name", "//$item/$name | //price"};
+  std::vector<core::Query> queries;
+  for (const std::string& expression : expressions) {
+    StatusOr<core::Query> query = core::Query::Compile(expression);
+    ASSERT_TRUE(query.ok()) << expression << ": " << query.status();
+    queries.push_back(std::move(*query));
+  }
+
+  // Starts `evaluator` on the first half of `wide`, then abandons it.
+  auto abort_midstream = [&wide](auto* evaluator) {
+    xml::SaxParser parser(evaluator);
+    ASSERT_TRUE(parser.Feed(std::string_view(wide).substr(0, wide.size() / 2))
+                    .ok());
+    evaluator->AbortDocument(InternalError("producer failed mid-document"));
+  };
+
+  std::vector<std::unique_ptr<core::StreamingEvaluator>> streaming;
+  for (const core::Query& query : queries) {
+    streaming.push_back(std::make_unique<core::StreamingEvaluator>(query));
+  }
+  core::MultiQueryEvaluator multi;
+  for (const core::Query& query : queries) multi.AddQuery(query);
+
+  for (size_t d = 0; d < docs.size(); ++d) {
+    if (d == abort_before) {
+      for (auto& evaluator : streaming) abort_midstream(evaluator.get());
+      abort_midstream(&multi);
+    }
+    ASSERT_TRUE(xml::ParseString(docs[d], &multi).ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const test::BruteForceAnswer want =
+          test::EvalBruteForce(expressions[q], docs[d]);
+      const std::string where =
+          expressions[q] + " on document " + std::to_string(d);
+      ASSERT_TRUE(xml::ParseString(docs[d], streaming[q].get()).ok());
+      ExpectOracleResult(streaming[q]->Result(), want, "streaming " + where);
+      ExpectOracleResult(multi.Result(q), want, "multi " + where);
+    }
+  }
 }
 
 // --- observability counters -------------------------------------------------

@@ -3,16 +3,19 @@
 #ifndef XAOS_TESTS_TEST_UTIL_H_
 #define XAOS_TESTS_TEST_UTIL_H_
 
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "baseline/brute_force_matcher.h"
 #include "baseline/compare.h"
 #include "baseline/navigational_engine.h"
 #include "core/multi_engine.h"
 #include "dom/dom_builder.h"
 #include "dom/dom_replayer.h"
 #include "gtest/gtest.h"
+#include "query/xtree_builder.h"
 
 namespace xaos::test {
 
@@ -39,6 +42,33 @@ inline std::vector<baseline::CanonicalItem> EvalBaseline(
   EXPECT_TRUE(refs.ok()) << refs.status();
   if (!refs.ok()) return {};
   return baseline::CanonicalFromRefs(doc.value(), *refs);
+}
+
+// The brute-force x-tree matcher's answer for `xpath` over a DOM built from
+// `xml`: matched if any disjunct matched, items the union of every
+// disjunct's items (canonical order). Unlike EvalBaseline it handles
+// multi-output ($-marked) queries.
+struct BruteForceAnswer {
+  bool matched = false;
+  std::vector<baseline::CanonicalItem> items;
+};
+inline BruteForceAnswer EvalBruteForce(std::string_view xpath,
+                                       std::string_view xml) {
+  BruteForceAnswer answer;
+  StatusOr<dom::Document> doc = dom::ParseToDocument(xml);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  auto trees = query::CompileToXTrees(xpath);
+  EXPECT_TRUE(trees.ok()) << xpath << ": " << trees.status();
+  if (!doc.ok() || !trees.ok()) return answer;
+  std::set<baseline::CanonicalItem> items;
+  for (const query::XTree& tree : *trees) {
+    baseline::BruteForceOutcome outcome = baseline::BruteForceMatch(*doc, tree);
+    EXPECT_TRUE(outcome.complete) << xpath;
+    answer.matched = answer.matched || outcome.matched;
+    items.insert(outcome.items.begin(), outcome.items.end());
+  }
+  answer.items.assign(items.begin(), items.end());
+  return answer;
 }
 
 // Names (element tags) of the items, in order.

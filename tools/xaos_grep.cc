@@ -360,7 +360,7 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    xaos::core::QueryResult result = evaluator.Result();
+    const xaos::core::QueryResult& result = evaluator.Result();
     any_match = any_match || result.matched;
     const char* prefix = multiple_files ? path.c_str() : "";
     const char* sep = multiple_files ? ": " : "";
