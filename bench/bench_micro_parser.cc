@@ -1,6 +1,6 @@
 // Microbenchmarks for the streaming XML parser substrate (supporting
 // infrastructure; no paper counterpart): throughput in MB/s, chunked
-// feeding overhead, DOM construction cost.
+// feeding overhead, parse-to-batch capture, DOM construction cost.
 //
 // `--json-out=DIR` (handled before google-benchmark sees the argv) writes a
 // BENCH_micro_parser.json in the shared BenchReporter schema, so the
@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "dom/dom_builder.h"
 #include "gen/xmark_generator.h"
+#include "xml/event_batch.h"
 #include "xml/sax_event.h"
 #include "xml/sax_parser.h"
 #include "xml/skip_scanner.h"
@@ -102,6 +103,43 @@ void BM_ParseSkipAll(benchmark::State& state) {
                           static_cast<int64_t>(doc.size()));
 }
 BENCHMARK(BM_ParseSkipAll);
+
+// Parse-to-batch capture: the parser feeding an EventBatcher writes the
+// element, text and skip records into its batches itself (the fused front
+// end every batched pipeline runs). The sink recycles one batch, so the row
+// prices tokenizing plus record capture, without replay.
+void BM_ParseToBatch(benchmark::State& state) {
+  class RecyclingSink : public xaos::xml::EventBatcher::Sink {
+   public:
+    xaos::xml::EventBatch* AcquireBatch() override { return &batch_; }
+    void PublishBatch(xaos::xml::EventBatch* batch) override {
+      events += batch->event_count();
+      batch->Clear();
+    }
+    size_t events = 0;
+
+   private:
+    xaos::xml::EventBatch batch_;
+  };
+  const std::string& doc = Document();
+  RecyclingSink sink;
+  xaos::xml::EventBatcher batcher(&sink, /*max_events=*/256,
+                                  /*max_text_bytes=*/32 * 1024);
+  for (auto _ : state) {
+    xaos::xml::SaxParser parser(&batcher);
+    for (size_t i = 0; i < doc.size(); i += 65536) {
+      if (!parser.Feed(std::string_view(doc).substr(i, 65536)).ok()) {
+        state.SkipWithError("feed failed");
+        break;
+      }
+    }
+    if (!parser.Finish().ok()) state.SkipWithError("finish failed");
+  }
+  benchmark::DoNotOptimize(sink.events);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(doc.size()));
+}
+BENCHMARK(BM_ParseToBatch);
 
 void BM_BuildDom(benchmark::State& state) {
   const std::string& doc = Document();

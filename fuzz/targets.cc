@@ -3,6 +3,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baseline/brute_force_matcher.h"
@@ -11,6 +12,7 @@
 #include "core/multi_engine.h"
 #include "dom/dom_builder.h"
 #include "query/xtree.h"
+#include "xml/event_batch.h"
 #include "xml/sax_event.h"
 #include "xml/sax_parser.h"
 #include "xml/structural_scanner.h"
@@ -59,6 +61,62 @@ class TrapHandler : public xml::ContentHandler {
   int depth_ = 0;
 };
 
+// Batch sink keeping a copy of every published batch.
+class CopyingSink : public xml::EventBatcher::Sink {
+ public:
+  xml::EventBatch* AcquireBatch() override { return &batch_; }
+  void PublishBatch(xml::EventBatch* batch) override {
+    published.push_back(*batch);
+    batch->Clear();
+  }
+  std::vector<xml::EventBatch> published;
+
+ private:
+  xml::EventBatch batch_;
+};
+
+// Forwards events to an EventBatcher through its callbacks without exposing
+// it, so a parser feeding this handler takes the callback emitter.
+class HiddenBatcher : public xml::ContentHandler {
+ public:
+  explicit HiddenBatcher(xml::EventBatcher* batcher) : batcher_(batcher) {}
+  void StartDocument() override { batcher_->StartDocument(); }
+  void EndDocument() override { batcher_->EndDocument(); }
+  void StartElement(const xml::QName& name,
+                    xml::AttributeSpan attributes) override {
+    batcher_->StartElement(name, attributes);
+  }
+  void EndElement(std::string_view name) override {
+    batcher_->EndElement(name);
+  }
+  void Characters(std::string_view text) override {
+    batcher_->Characters(text);
+  }
+  void SkippedSubtree(const xml::SkipReport& report) override {
+    batcher_->SkippedSubtree(report);
+  }
+
+ private:
+  xml::EventBatcher* batcher_;
+};
+
+// Captures `document` into batches of the given budget, through the record
+// emitter (the parser fed the batcher itself) or the callback emitter.
+std::pair<Status, std::vector<xml::EventBatch>> CaptureBatches(
+    std::string_view document, const xml::ParserOptions& options,
+    size_t batch_events, bool lean, bool record_path) {
+  CopyingSink sink;
+  xml::EventBatcher batcher(&sink, batch_events, /*max_text_bytes=*/256);
+  batcher.set_lean_payload(lean);
+  HiddenBatcher hidden(&batcher);
+  Status status = xml::ParseString(
+      document,
+      record_path ? static_cast<xml::ContentHandler*>(&batcher) : &hidden,
+      options);
+  if (!status.ok()) batcher.AbortDocument();
+  return {std::move(status), std::move(sink.published)};
+}
+
 }  // namespace
 
 int RunSaxParserInput(const uint8_t* data, size_t size) {
@@ -69,9 +127,12 @@ int RunSaxParserInput(const uint8_t* data, size_t size) {
   TrapHandler invariants;
   xml::ParseString(doc, &invariants, options);
 
-  // One-shot vs chunked must agree exactly: same ok-ness, same events.
+  // One-shot vs chunked must agree exactly: same events, and for a
+  // malformed document the same status code and message (line and column
+  // included). Limit rejections depend on buffering by design, so only
+  // their code must match.
   xml::EventRecorder one_shot;
-  bool one_shot_ok = xml::ParseString(doc, &one_shot, options).ok();
+  const Status one_shot_status = xml::ParseString(doc, &one_shot, options);
 
   static constexpr size_t kSchedule[] = {1, 3, 7, 2, 16, 64, 5};
   xml::EventRecorder chunked;
@@ -84,7 +145,11 @@ int RunSaxParserInput(const uint8_t* data, size_t size) {
     doc.remove_prefix(n);
   }
   if (status.ok()) status = parser.Finish();
-  if (status.ok() != one_shot_ok) __builtin_trap();
+  if (status.code() != one_shot_status.code()) __builtin_trap();
+  if (status.code() == StatusCode::kParseError &&
+      status.message() != one_shot_status.message()) {
+    __builtin_trap();
+  }
   if (status.ok() && !(chunked.events() == one_shot.events())) {
     __builtin_trap();
   }
@@ -344,6 +409,22 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
   if (newline == std::string_view::npos) return 0;
   std::string_view query_list = input.substr(0, newline);
   std::string document(input.substr(newline + 1));
+  xml::ParserOptions options = FuzzParserOptions();
+
+  // Both parser emitters must capture byte-identical batches (records,
+  // arena bytes, cut points, abort marker) and return the same status,
+  // with and without lean payload.
+  for (bool lean : {false, true}) {
+    auto records = CaptureBatches(document, options, batch_events, lean,
+                                  /*record_path=*/true);
+    auto callbacks = CaptureBatches(document, options, batch_events, lean,
+                                    /*record_path=*/false);
+    if (records.first.code() != callbacks.first.code() ||
+        records.first.message() != callbacks.first.message() ||
+        records.second != callbacks.second) {
+      __builtin_trap();
+    }
+  }
 
   std::vector<core::Query> queries;
   while (!query_list.empty() && queries.size() < 16) {
@@ -372,7 +453,6 @@ int RunBatchedDispatchDiffInput(const uint8_t* data, size_t size) {
   dispatch_options.max_batch_text_bytes = 256;
   core::BatchedDispatcher dispatcher(&batched, dispatch_options);
 
-  xml::ParserOptions options = FuzzParserOptions();
   Status batched_parse = xml::ParseString(document, &dispatcher, options);
   Status direct_parse = xml::ParseString(document, &direct, options);
   if (batched_parse.ok() != direct_parse.ok()) __builtin_trap();

@@ -19,7 +19,8 @@ namespace xaos::fuzz {
 
 // Feeds `data` to the SAX parser under tight ParserLimits, twice: one-shot
 // and through an adversarial chunk schedule. Traps if the event streams or
-// outcomes diverge, or if the handler observes an unbalanced stream.
+// status codes diverge, if a parse error's message (which carries its line
+// and column) differs, or if the handler observes an unbalanced stream.
 int RunSaxParserInput(const uint8_t* data, size_t size);
 
 // Treats `data` as an XPath expression: compile, and when that succeeds,
@@ -59,7 +60,11 @@ int RunSharedIndexDiffInput(const uint8_t* data, size_t size);
 // Batched-dispatch differential. Input layout:
 // "<batch byte><xpath>;<xpath>;...\n<xml document>" — the first byte picks
 // the EventBatch size budget (1..64 events), the rest is a multi-query pool
-// plus a document. The pool is evaluated once through BatchedDispatcher
+// plus a document. First the document is captured into batches of that
+// budget through both parser emitters — records written by the parser into
+// an EventBatcher it feeds, and the same batcher fed by callbacks — with and
+// without lean payload; any difference in batches or status traps. Then
+// the pool is evaluated once through BatchedDispatcher
 // (pooled EventBatch replay) and once fed directly as a ContentHandler;
 // any divergence between the two in parse outcome,
 // verdicts, confirmations or items traps, and so does any divergence of

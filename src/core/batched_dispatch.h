@@ -72,6 +72,9 @@ class BatchedDispatcher : public xml::ContentHandler,
   void SkippedSubtree(const xml::SkipReport& report) override {
     batcher_.SkippedSubtree(report);
   }
+  // A SaxParser feeding this dispatcher writes those four events straight
+  // into the batcher; StartDocument above still runs per document.
+  xml::EventBatcher* batcher() override { return &batcher_; }
 
   // Replays buffered events now, so the evaluator's mid-stream state
   // (MatchConfirmed, early item sinks) reflects everything fed so far.

@@ -144,6 +144,9 @@ class ParallelFleet : public xml::ContentHandler,
   void EndElement(std::string_view name) override;
   void Characters(std::string_view text) override;
   void SkippedSubtree(const xml::SkipReport& report) override;
+  // The producer's batcher: a SaxParser feeding the fleet writes element,
+  // text and skip records into it directly.
+  xml::EventBatcher* batcher() override { return &batcher_; }
 
   // Document-projection filter covering the union of all registered
   // subscriptions. Finalizes the fleet (no queries can be added after this

@@ -1,6 +1,7 @@
 #include "xml/entities.h"
 
 #include <cstdint>
+#include <cstring>
 
 namespace xaos::xml {
 namespace {
@@ -55,23 +56,24 @@ size_t FindForbiddenControlByte(std::string_view text) {
   return std::string_view::npos;
 }
 
-StatusOr<std::string> DecodeReferences(std::string_view text,
-                                       uint64_t* reference_count) {
-  std::string out;
-  out.reserve(text.size());
+Status AppendDecodedReferences(std::string_view text, size_t stop,
+                               std::string* out, uint64_t* reference_count,
+                               uint64_t max_references, size_t* error_offset) {
   size_t i = 0;
-  while (i < text.size()) {
-    char c = text[i];
-    if (c != '&') {
-      out.push_back(c);
-      ++i;
-      continue;
+  while (i < stop) {
+    const char* amp = static_cast<const char*>(
+        std::memchr(text.data() + i, '&', stop - i));
+    if (amp == nullptr) {
+      out->append(text.data() + i, stop - i);
+      break;
     }
+    const size_t at = static_cast<size_t>(amp - text.data());
+    out->append(text.data() + i, at - i);
+    *error_offset = at;
     // Bounded scan: a legal reference body fits well inside the cap, so a
     // missing ';' within the window means the reference is broken (or an
     // attack) and we fail without looking at the rest of the payload.
-    std::string_view window =
-        text.substr(i + 1, kMaxReferenceBodyBytes + 1);
+    std::string_view window = text.substr(at + 1, kMaxReferenceBodyBytes + 1);
     size_t body_len = window.find(';');
     if (body_len == std::string_view::npos) {
       return ParseError(
@@ -83,19 +85,17 @@ StatusOr<std::string> DecodeReferences(std::string_view text,
     if (body_len == 0) {
       return ParseError("unterminated entity reference");
     }
-    size_t end = i + 1 + body_len;
-    if (reference_count != nullptr) ++*reference_count;
-    std::string_view body = text.substr(i + 1, end - i - 1);
+    std::string_view body = window.substr(0, body_len);
     if (body == "amp") {
-      out.push_back('&');
+      out->push_back('&');
     } else if (body == "lt") {
-      out.push_back('<');
+      out->push_back('<');
     } else if (body == "gt") {
-      out.push_back('>');
+      out->push_back('>');
     } else if (body == "apos") {
-      out.push_back('\'');
+      out->push_back('\'');
     } else if (body == "quot") {
-      out.push_back('"');
+      out->push_back('"');
     } else if (body.size() >= 2 && body[0] == '#') {
       uint32_t cp = 0;
       bool valid = true;
@@ -117,7 +117,7 @@ StatusOr<std::string> DecodeReferences(std::string_view text,
           }
         }
       }
-      if (!valid || !AppendUtf8(cp, &out)) {
+      if (!valid || !AppendUtf8(cp, out)) {
         return ParseError("invalid character reference: &" +
                           std::string(body) + ";");
       }
@@ -125,8 +125,26 @@ StatusOr<std::string> DecodeReferences(std::string_view text,
       return ParseError("unknown entity reference: &" + std::string(body) +
                         ";");
     }
-    i = end + 1;
+    if (reference_count != nullptr) {
+      ++*reference_count;
+      if (max_references > 0 && *reference_count > max_references) {
+        return ResourceExhaustedError("entity-reference budget of " +
+                                      std::to_string(max_references) +
+                                      " exceeded");
+      }
+    }
+    i = at + 2 + body_len;
   }
+  return Status::Ok();
+}
+
+StatusOr<std::string> DecodeReferences(std::string_view text,
+                                       uint64_t* reference_count) {
+  std::string out;
+  out.reserve(text.size());
+  size_t error_offset = 0;
+  XAOS_RETURN_IF_ERROR(AppendDecodedReferences(
+      text, text.size(), &out, reference_count, 0, &error_offset));
   return out;
 }
 

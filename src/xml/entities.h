@@ -30,6 +30,17 @@ inline constexpr size_t kMaxReferenceBodyBytes = 32;
 StatusOr<std::string> DecodeReferences(std::string_view text,
                                        uint64_t* reference_count = nullptr);
 
+// The streaming form of DecodeReferences: appends the decoded form of
+// text[0, stop) to `out`. A reference that starts before `stop` is read
+// from the whole of `text`, so a caller holding back an incomplete tail
+// still gets the verdict the complete document would give. Each decoded
+// reference increments `*reference_count` (when non-null); one past
+// `max_references` (0 = unlimited) fails with kResourceExhausted. On any
+// failure `*error_offset` is the offset of the offending '&'.
+Status AppendDecodedReferences(std::string_view text, size_t stop,
+                               std::string* out, uint64_t* reference_count,
+                               uint64_t max_references, size_t* error_offset);
+
 // Returns the offset of the first byte forbidden in XML content — a C0
 // control other than tab, LF or CR, which the Char production excludes —
 // or npos. Applied to raw (undecoded) character data and attribute values;

@@ -2,44 +2,21 @@
 
 namespace xaos::xml {
 
+void BatchArena::Grow(size_t min_capacity) {
+  size_t capacity = capacity_ < 256 ? 256 : 2 * capacity_;
+  if (capacity < min_capacity) capacity = min_capacity;
+  std::unique_ptr<char[]> grown(new char[capacity]);
+  if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_);
+  data_ = std::move(grown);
+  capacity_ = capacity;
+}
+
 void EventBatch::AddStartElement(const QName& name, AttributeSpan attributes) {
-  BatchedEvent event;
-  event.kind = BatchedEvent::Kind::kStartElement;
-  event.symbol = name.symbol;
-  event.text_offset = AppendText(name.text);
-  event.text_size = static_cast<uint32_t>(name.text.size());
-  event.attr_begin = static_cast<uint32_t>(attributes_.size());
-  event.attr_count = static_cast<uint32_t>(attributes.size());
+  const OpenElement open = OpenStartElement(name.text);
   for (const AttributeView& attr : attributes) {
-    BatchedAttribute record;
-    record.name_offset = AppendText(attr.name);
-    record.name_size = static_cast<uint32_t>(attr.name.size());
-    record.value_offset = AppendText(attr.value);
-    record.value_size = static_cast<uint32_t>(attr.value.size());
-    record.symbol = attr.symbol;
-    attributes_.push_back(record);
+    AddAttribute(attr.name, attr.value, attr.symbol);
   }
-  events_.push_back(event);
-}
-
-void EventBatch::AddEndElement(std::string_view name, bool copy_payload) {
-  BatchedEvent event;
-  event.kind = BatchedEvent::Kind::kEndElement;
-  if (copy_payload) {
-    event.text_offset = AppendText(name);
-    event.text_size = static_cast<uint32_t>(name.size());
-  }
-  events_.push_back(event);
-}
-
-void EventBatch::AddCharacters(std::string_view text, bool copy_payload) {
-  BatchedEvent event;
-  event.kind = BatchedEvent::Kind::kCharacters;
-  if (copy_payload) {
-    event.text_offset = AppendText(text);
-    event.text_size = static_cast<uint32_t>(text.size());
-  }
-  events_.push_back(event);
+  CloseStartElement(open, name.symbol);
 }
 
 void EventBatch::AddSkipSubtree(const SkipReport& report) {
@@ -86,14 +63,6 @@ void EventBatcher::SkippedSubtree(const SkipReport& report) {
 void EventBatcher::AbortDocument() {
   Current()->MarkAbortsDocument();
   PublishCurrent();
-}
-
-void EventBatcher::PublishIfFull() {
-  if (current_ == nullptr) return;
-  if (current_->event_count() >= max_events_ ||
-      current_->text_bytes() >= max_text_bytes_) {
-    PublishCurrent();
-  }
 }
 
 void EventBatcher::PublishCurrent() {

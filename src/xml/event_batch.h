@@ -15,12 +15,18 @@
 // EventBatcher is the ContentHandler that fills batches: it forwards every
 // event into the current batch and asks its sink to publish when the batch
 // reaches the configured event- or byte-budget, or when the document ends.
+// A SaxParser feeding an EventBatcher (directly, or through a handler whose
+// batcher() exposes one) skips the callbacks and writes the element, text
+// and skip records itself; the batches are byte-identical either way.
 
 #ifndef XAOS_XML_EVENT_BATCH_H_
 #define XAOS_XML_EVENT_BATCH_H_
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/symbol_table.h"
@@ -47,6 +53,8 @@ struct BatchedEvent {
   uint32_t text_size = 0;
   uint32_t attr_begin = 0;   // slice of the batch's attribute records
   uint32_t attr_count = 0;
+
+  bool operator==(const BatchedEvent&) const = default;
 };
 
 struct BatchedAttribute {
@@ -55,6 +63,76 @@ struct BatchedAttribute {
   uint32_t value_offset = 0;
   uint32_t value_size = 0;
   util::Symbol symbol = util::kInvalidSymbol;
+
+  bool operator==(const BatchedAttribute&) const = default;
+};
+
+// The byte arena of an EventBatch: append-only, keeping its capacity across
+// clear(). Short appends (element and attribute names, the bulk of the
+// traffic) copy with a few fixed-size moves inline instead of through
+// std::string's out-of-line append and a memcpy call.
+class BatchArena {
+ public:
+  BatchArena() = default;
+  BatchArena(const BatchArena& other) { *this = other; }
+  BatchArena& operator=(const BatchArena& other) {
+    if (this != &other) {
+      size_ = 0;
+      if (capacity_ < other.size_) Grow(other.size_);
+      if (other.size_ > 0) std::memcpy(data_.get(), other.data(), other.size_);
+      size_ = other.size_;
+    }
+    return *this;
+  }
+  BatchArena(BatchArena&& other) noexcept { *this = std::move(other); }
+  BatchArena& operator=(BatchArena&& other) noexcept {
+    data_ = std::move(other.data_);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
+    return *this;
+  }
+
+  const char* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+  void clear() { size_ = 0; }
+  void truncate(size_t size) { size_ = size; }
+  void append(const char* p, size_t n) {
+    if (capacity_ - size_ < n) Grow(size_ + n);
+    char* out = data_.get() + size_;
+    if (n >= 8 && n <= 16) {
+      // Two overlapping 8-byte moves cover any length in [8, 16].
+      uint64_t head, tail;
+      std::memcpy(&head, p, 8);
+      std::memcpy(&tail, p + n - 8, 8);
+      std::memcpy(out, &head, 8);
+      std::memcpy(out + n - 8, &tail, 8);
+    } else if (n >= 4 && n < 8) {
+      uint32_t head, tail;
+      std::memcpy(&head, p, 4);
+      std::memcpy(&tail, p + n - 4, 4);
+      std::memcpy(out, &head, 4);
+      std::memcpy(out + n - 4, &tail, 4);
+    } else if (n > 0 && n < 4) {
+      out[0] = p[0];
+      out[n / 2] = p[n / 2];
+      out[n - 1] = p[n - 1];
+    } else if (n > 16) {
+      std::memcpy(out, p, n);
+    }
+    size_ += n;
+  }
+
+  friend bool operator==(const BatchArena& a, const BatchArena& b) {
+    return a.size_ == b.size_ &&
+           (a.size_ == 0 || std::memcmp(a.data(), b.data(), a.size_) == 0);
+  }
+
+ private:
+  void Grow(size_t min_capacity);  // at least doubles
+
+  std::unique_ptr<char[]> data_;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
 };
 
 class EventBatch {
@@ -98,9 +176,76 @@ class EventBatch {
   // they never read end-element names or character data. The event record
   // itself is always kept — replay must consume exactly one text id per
   // Characters and keep the element stack balanced.
-  void AddEndElement(std::string_view name, bool copy_payload = true);
-  void AddCharacters(std::string_view text, bool copy_payload = true);
+  void AddEndElement(std::string_view name, bool copy_payload = true) {
+    BatchedEvent event;
+    event.kind = BatchedEvent::Kind::kEndElement;
+    if (copy_payload) {
+      event.text_offset = AppendText(name);
+      event.text_size = static_cast<uint32_t>(name.size());
+    }
+    events_.push_back(event);
+  }
+  void AddCharacters(std::string_view text, bool copy_payload = true) {
+    BatchedEvent event;
+    event.kind = BatchedEvent::Kind::kCharacters;
+    if (copy_payload) {
+      event.text_offset = AppendText(text);
+      event.text_size = static_cast<uint32_t>(text.size());
+    }
+    events_.push_back(event);
+  }
   void AddSkipSubtree(const SkipReport& report);
+
+  // A start-element record written in steps, so a producer can validate
+  // each attribute as it appends it (SaxParser's record emitter):
+  // OpenStartElement appends the name, AddAttribute one attribute, and
+  // CloseStartElement the event record; DiscardStartElement drops
+  // everything appended since the open. The records and arena bytes equal
+  // AddStartElement's for the same element.
+  struct OpenElement {
+    uint32_t name_offset = 0;
+    uint32_t name_size = 0;
+    uint32_t attr_begin = 0;
+  };
+  OpenElement OpenStartElement(std::string_view name) {
+    OpenElement open;
+    open.name_offset = AppendText(name);
+    open.name_size = static_cast<uint32_t>(name.size());
+    open.attr_begin = static_cast<uint32_t>(attributes_.size());
+    return open;
+  }
+  void AddAttribute(std::string_view name, std::string_view value,
+                    util::Symbol symbol) {
+    BatchedAttribute record;
+    record.name_offset = AppendText(name);
+    record.name_size = static_cast<uint32_t>(name.size());
+    record.value_offset = AppendText(value);
+    record.value_size = static_cast<uint32_t>(value.size());
+    record.symbol = symbol;
+    attributes_.push_back(record);
+  }
+  // Whether the open element already has an attribute interned as `symbol`.
+  bool HasAttribute(const OpenElement& open, util::Symbol symbol) const {
+    for (size_t i = open.attr_begin; i < attributes_.size(); ++i) {
+      if (attributes_[i].symbol == symbol) return true;
+    }
+    return false;
+  }
+  void CloseStartElement(const OpenElement& open, util::Symbol symbol) {
+    BatchedEvent event;
+    event.kind = BatchedEvent::Kind::kStartElement;
+    event.symbol = symbol;
+    event.text_offset = open.name_offset;
+    event.text_size = open.name_size;
+    event.attr_begin = open.attr_begin;
+    event.attr_count =
+        static_cast<uint32_t>(attributes_.size()) - open.attr_begin;
+    events_.push_back(event);
+  }
+  void DiscardStartElement(const OpenElement& open) {
+    attributes_.resize(open.attr_begin);
+    text_.truncate(open.name_offset);
+  }
 
   // --- replay side (any number of concurrent consumers) ---
   // Raw read access for devirtualized batch loops (EngineFleet::ReplayRun):
@@ -108,10 +253,14 @@ class EventBatch {
   // callback per event. Views point into this batch's arena and stay valid
   // until Clear().
   const std::vector<BatchedEvent>& events() const { return events_; }
+  size_t attribute_count() const { return attributes_.size(); }
   const BatchedAttribute& attribute(size_t i) const { return attributes_[i]; }
   std::string_view text_slice(uint32_t offset, uint32_t size) const {
     return Slice(offset, size);
   }
+
+  // Same records, attribute records, arena bytes, abort marker and stamp.
+  bool operator==(const EventBatch&) const = default;
 
  private:
   void AddSimple(BatchedEvent::Kind kind) {
@@ -131,7 +280,7 @@ class EventBatch {
 
   std::vector<BatchedEvent> events_;
   std::vector<BatchedAttribute> attributes_;
-  std::string text_;  // arena owning every byte the records reference
+  BatchArena text_;  // arena owning every byte the records reference
   bool aborts_document_ = false;
   uint64_t sequence_ = 0;
 };
@@ -158,10 +307,19 @@ class EventBatcher : public ContentHandler {
 
   void StartDocument() override;
   void EndDocument() override;
-  void StartElement(const QName& name, AttributeSpan attributes) override;
-  void EndElement(std::string_view name) override;
-  void Characters(std::string_view text) override;
-  void SkippedSubtree(const SkipReport& report) override;
+  // Final: a producer writing records directly bypasses these four, so an
+  // override could never be relied on.
+  void StartElement(const QName& name, AttributeSpan attributes) final;
+  void EndElement(std::string_view name) final;
+  void Characters(std::string_view text) final;
+  void SkippedSubtree(const SkipReport& report) final;
+  EventBatcher* batcher() final { return this; }
+
+  // Direct record emission: a producer that writes records itself (the
+  // fused front end, see ContentHandler::batcher) appends each event to
+  // batch() and then calls EventAdded(), exactly as the callbacks above do.
+  EventBatch* batch() { return Current(); }
+  void EventAdded() { PublishIfFull(); }
 
   // Abandons the in-progress document: the current batch (acquired if none
   // is open) is marked as aborting and published, so every consumer sees
@@ -194,7 +352,12 @@ class EventBatcher : public ContentHandler {
     if (current_ == nullptr) current_ = sink_->AcquireBatch();
     return current_;
   }
-  void PublishIfFull();
+  void PublishIfFull() {
+    if (current_->event_count() >= max_events_ ||
+        current_->text_bytes() >= max_text_bytes_) {
+      PublishCurrent();
+    }
+  }
   void PublishCurrent();
 
   Sink* sink_;

@@ -25,6 +25,8 @@
 
 namespace xaos::xml {
 
+class EventBatcher;
+
 // An element or attribute name: the spelling plus (optionally) its interned
 // Symbol. Implicitly convertible from and to string_view so handler code
 // that only cares about the text keeps reading naturally.
@@ -116,6 +118,14 @@ class ContentHandler {
     (void)target;
     (void)data;
   }
+
+  // The batcher this handler hands every StartElement, EndElement,
+  // Characters and SkippedSubtree event to unchanged, or null (the
+  // default). A producer that can write batch records itself (SaxParser's
+  // fused front end) then appends those events straight into the batcher
+  // instead of calling this handler; document boundaries, comments and
+  // processing instructions still arrive through the callbacks.
+  virtual EventBatcher* batcher() { return nullptr; }
 };
 
 // A materialized event, convenient for tests and for recording/replaying

@@ -8,6 +8,7 @@
 #include "util/string_util.h"
 #include "util/symbol_table.h"
 #include "xml/entities.h"
+#include "xml/event_batch.h"
 
 namespace xaos::xml {
 namespace {
@@ -80,7 +81,122 @@ constexpr NameCharTable MakeNameCharTable() {
 
 constexpr NameCharTable kNameChars = MakeNameCharTable();
 
+uint64_t Load8(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint64_t Load4(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// Offset of the first '&' in `text` whose reference more input could still
+// change: no ';' follows it and it is closer to the end than the decoder's
+// window (kMaxReferenceBodyBytes + 1 bytes). text.size() if there is none.
+// Holding back from there means the decoder sees each reference's bytes
+// exactly as the complete document would show them, under any chunking.
+size_t HeldReferenceStart(std::string_view text) {
+  constexpr size_t kWindow = kMaxReferenceBodyBytes + 1;
+  size_t lo = text.size() > kWindow ? text.size() - kWindow : 0;
+  const size_t semi = text.substr(lo).rfind(';');
+  if (semi != std::string_view::npos) lo += semi + 1;
+  const size_t amp = text.find('&', lo);
+  return amp == std::string_view::npos ? text.size() : amp;
+}
+
 }  // namespace
+
+// Delivers each event through the handler's virtual callbacks. Attributes
+// are staged as views (into buffer_ or a decode slot) until StartElement.
+class SaxParser::CallbackEmitter {
+ public:
+  explicit CallbackEmitter(SaxParser* parser)
+      : parser_(parser), handler_(parser->handler_) {}
+
+  void Characters(std::string_view text) { handler_->Characters(text); }
+  void EndElement(std::string_view name) { handler_->EndElement(name); }
+  void SkippedSubtree(const SkipReport& report) {
+    handler_->SkippedSubtree(report);
+  }
+
+  void OpenStartElement(std::string_view) {
+    parser_->attributes_.clear();
+    decode_used_ = 0;
+  }
+  bool HasAttribute(util::Symbol symbol) const {
+    for (const AttributeView& existing : parser_->attributes_) {
+      if (existing.symbol == symbol) return true;
+    }
+    return false;
+  }
+  // Each decoded value keeps its own slot until StartElement returns.
+  std::string* DecodeSlot() { return parser_->DecodeSlot(decode_used_++); }
+  void AddAttribute(std::string_view name, std::string_view value,
+                    util::Symbol symbol) {
+    parser_->attributes_.push_back({name, value, symbol});
+  }
+  void DiscardStartElement() {}
+  void CloseStartElement(std::string_view name, util::Symbol symbol) {
+    handler_->StartElement(QName(name, symbol),
+                           AttributeSpan(parser_->attributes_));
+  }
+
+ private:
+  SaxParser* parser_;
+  ContentHandler* handler_;
+  size_t decode_used_ = 0;
+};
+
+// Appends element, text and skip records straight into the current batch of
+// the handler's EventBatcher, with the same payload rule and publish checks
+// as EventBatcher's own callbacks. Attributes are written as records while
+// they are validated; a start tag that fails validation is discarded.
+class SaxParser::RecordEmitter {
+ public:
+  explicit RecordEmitter(SaxParser* parser)
+      : parser_(parser), batcher_(parser->batcher_) {}
+
+  void Characters(std::string_view text) {
+    batcher_->batch()->AddCharacters(text, !batcher_->lean_payload());
+    batcher_->EventAdded();
+  }
+  void EndElement(std::string_view name) {
+    batcher_->batch()->AddEndElement(name, !batcher_->lean_payload());
+    batcher_->EventAdded();
+  }
+  void SkippedSubtree(const SkipReport& report) {
+    batcher_->batch()->AddSkipSubtree(report);
+    batcher_->EventAdded();
+  }
+
+  void OpenStartElement(std::string_view name) {
+    batch_ = batcher_->batch();
+    open_ = batch_->OpenStartElement(name);
+  }
+  bool HasAttribute(util::Symbol symbol) const {
+    return batch_->HasAttribute(open_, symbol);
+  }
+  // The record copies the value at once, so one slot serves every value.
+  std::string* DecodeSlot() { return parser_->DecodeSlot(0); }
+  void AddAttribute(std::string_view name, std::string_view value,
+                    util::Symbol symbol) {
+    batch_->AddAttribute(name, value, symbol);
+  }
+  void DiscardStartElement() { batch_->DiscardStartElement(open_); }
+  void CloseStartElement(std::string_view, util::Symbol symbol) {
+    batch_->CloseStartElement(open_, symbol);
+    batcher_->EventAdded();
+  }
+
+ private:
+  SaxParser* parser_;
+  EventBatcher* batcher_;
+  EventBatch* batch_ = nullptr;
+  EventBatch::OpenElement open_;
+};
 
 SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
     : handler_(handler), options_(options) {
@@ -93,6 +209,8 @@ SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
         std::make_unique<MatchTimingHandler>(handler, options_.phase_timers);
     handler_ = timing_wrapper_.get();
   }
+  // The timing wrapper exposes no batcher: timed parses keep callbacks.
+  batcher_ = handler_->batcher();
   projection_filter_ = options_.projection_filter;
   if (projection_filter_ != nullptr &&
       (!options_.coalesce_text || options_.report_comments ||
@@ -108,6 +226,16 @@ SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
   }
 }
 
+template <typename Fn>
+SaxParser::Progress SaxParser::WithEmitter(Fn&& fn) {
+  if (batcher_ != nullptr) {
+    RecordEmitter emit(this);
+    return fn(emit);
+  }
+  CallbackEmitter emit(this);
+  return fn(emit);
+}
+
 bool SaxParser::IsWhitespace(char c) {
   return c == ' ' || c == '\t' || c == '\r' || c == '\n';
 }
@@ -120,25 +248,52 @@ bool SaxParser::IsNameChar(unsigned char c) {
   return kNameChars.part[c];
 }
 
-util::Symbol SaxParser::InternName(std::string_view name) {
-  if (name.size() <= sizeof(NameCacheSlot::bytes)) {
-    NameCacheSlot& slot =
-        name_cache_[(name.size() * 131 +
-                     static_cast<unsigned char>(name.front()) * 31 +
-                     static_cast<unsigned char>(name[name.size() / 2]) * 7 +
-                     static_cast<unsigned char>(name.back())) &
-                    (kNameCacheSlots - 1)];
-    if (slot.len == name.size() &&
-        std::memcmp(slot.bytes, name.data(), slot.len) == 0) {
-      return slot.symbol;
-    }
-    const util::Symbol symbol = util::SymbolTable::Global().Intern(name);
-    slot.len = static_cast<uint8_t>(name.size());
-    std::memcpy(slot.bytes, name.data(), name.size());
-    slot.symbol = symbol;
-    return symbol;
+SaxParser::NameKey* SaxParser::ThreadNameCache() {
+  // Trivially destructible, so the thread_local needs no exit-time
+  // registration; line-aligned, so each set is one cache line.
+  alignas(64) thread_local NameKey slots[2 * kNameCacheSets];
+  return slots;
+}
+
+SaxParser::NameKey SaxParser::KeyOf(std::string_view name) {
+  const char* p = name.data();
+  const size_t n = name.size();
+  NameKey key;
+  key.len = static_cast<uint32_t>(n);
+  if (n >= 8) {
+    // [0, 8) and [n - 8, n) cover up to 16 bytes; [8, 16) the rest of 24.
+    key.head = Load8(p);
+    key.tail = Load8(p + n - 8);
+    if (n > 16) key.mid = Load8(p + 8);
+  } else if (n >= 4) {
+    key.head = Load4(p) | Load4(p + n - 4) << 32;
+  } else if (n > 0) {
+    key.head = static_cast<uint64_t>(static_cast<unsigned char>(p[0])) |
+               static_cast<uint64_t>(static_cast<unsigned char>(p[n / 2]))
+                   << 8 |
+               static_cast<uint64_t>(static_cast<unsigned char>(p[n - 1]))
+                   << 16;
   }
-  return util::SymbolTable::Global().Intern(name);
+  return key;
+}
+
+util::Symbol SaxParser::InternName(std::string_view name,
+                                   const NameKey& key) {
+  if (name.size() > kNameKeyBytes) {
+    return util::SymbolTable::Global().Intern(name);
+  }
+  // The two ways of a set are probed most-recent first.
+  // (The shift keeps head and tail from cancelling for 8-byte names.)
+  const uint64_t hash = ((key.head ^ (key.tail >> 5) ^ key.mid ^ key.len) *
+                         0x9e3779b97f4a7c15ull) >>
+                        56;
+  NameKey* set = name_cache_ + 2 * (hash & (kNameCacheSets - 1));
+  if (set[0].SameName(key)) return set[0].symbol;
+  if (set[1].SameName(key)) return set[1].symbol;
+  set[1] = set[0];
+  set[0] = key;
+  set[0].symbol = util::SymbolTable::Global().Intern(name);
+  return set[0].symbol;
 }
 
 size_t SaxParser::ScanName(std::string_view s, size_t i) {
@@ -146,11 +301,24 @@ size_t SaxParser::ScanName(std::string_view s, size_t i) {
   if (i >= s.size() || !kNameChars.start[static_cast<unsigned char>(d[i])]) {
     return 0;
   }
+  // Four independent table loads per step, then the byte-wise tail.
+  const auto part = [d](size_t k) {
+    return kNameChars.part[static_cast<unsigned char>(d[k])];
+  };
   size_t n = i + 1;
-  while (n < s.size() && kNameChars.part[static_cast<unsigned char>(d[n])]) {
-    ++n;
+  while (n + 4 <= s.size() && (part(n) & part(n + 1) & part(n + 2) &
+                               part(n + 3))) {
+    n += 4;
   }
+  while (n < s.size() && part(n)) ++n;
   return n - i;
+}
+
+std::string* SaxParser::DecodeSlot(size_t i) {
+  if (i == attr_decode_slots_.size()) attr_decode_slots_.emplace_back();
+  std::string* slot = &attr_decode_slots_[i];
+  slot->clear();
+  return slot;
 }
 
 void SaxParser::Consume(size_t n) {
@@ -198,11 +366,6 @@ SaxParser::Progress SaxParser::Fail(std::string message) {
 }
 
 SaxParser::Progress SaxParser::FailLimit(std::string message) {
-  if (obs::Enabled()) {
-    obs::MetricsRegistry::Default()
-        .GetCounter("xaos_limit_rejections_total")
-        ->Increment();
-  }
   return FailWith(StatusCode::kResourceExhausted, std::move(message));
 }
 
@@ -210,11 +373,21 @@ SaxParser::Progress SaxParser::FailWith(StatusCode code, std::string message) {
   error_ = Status(code, message + " at line " + std::to_string(line_) +
                             ", column " + std::to_string(column_));
   if (obs::Enabled()) {
-    obs::MetricsRegistry::Default()
-        .GetCounter("xaos_parse_errors_total")
-        ->Increment();
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+    if (code == StatusCode::kResourceExhausted) {
+      registry.GetCounter("xaos_limit_rejections_total")->Increment();
+    }
+    registry.GetCounter("xaos_parse_errors_total")->Increment();
   }
   return Progress::kError;
+}
+
+SaxParser::Progress SaxParser::FailAt(size_t offset, StatusCode code,
+                                      std::string message) {
+  // The parser is poisoned from here on, so advancing the position to the
+  // offending byte costs nothing but the newline walk.
+  Consume(offset);
+  return FailWith(code, std::move(message));
 }
 
 Status SaxParser::Feed(std::string_view chunk) {
@@ -241,22 +414,24 @@ Status SaxParser::Feed(std::string_view chunk) {
               " bytes");
     return error_;
   }
+  name_cache_ = ThreadNameCache();
   if (!started_document_) {
     started_document_ = true;
     handler_->StartDocument();
   }
   // Compacting/growing buffer_ invalidates any zero-copy pending-text view
-  // into it (copy the view out first) and every cached block mask.
+  // into it (copy the view out first).
   MaterializeTextView();
-  // Compact the consumed prefix before growing the buffer.
-  if (pos_ > 0) {
-    buffer_.erase(0, pos_);
-    pos_ = 0;
+  // Compact the consumed prefix before growing the buffer, in whole blocks
+  // so the scanner's mask array only shifts.
+  if (pos_ >= kScannerBlockBytes) {
+    const size_t blocks = pos_ / kScannerBlockBytes;
+    buffer_.erase(0, blocks * kScannerBlockBytes);
+    pos_ -= blocks * kScannerBlockBytes;
+    scanner_.DropBlocks(blocks);
   }
   buffer_.append(chunk.data(), chunk.size());
-  scanner_.InvalidateCache();
-  skip_scanner_.InvalidateScannerCache();
-  Progress p = Pump();
+  Progress p = WithEmitter([this](auto& emit) { return Pump(emit); });
   // Whatever Pump left unconsumed is one incomplete token (plus a few
   // held-back text bytes); bound it so a stream that never closes a
   // construct cannot grow the buffer without limit.
@@ -277,6 +452,7 @@ Status SaxParser::Feed(std::string_view chunk) {
 Status SaxParser::Finish() {
   if (!error_.ok()) return error_;
   if (finished_) return Status::Ok();
+  name_cache_ = ThreadNameCache();
   if (!started_document_) {
     started_document_ = true;
     handler_->StartDocument();
@@ -292,10 +468,14 @@ Status SaxParser::Finish() {
     std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
     if (rest.find('<') == std::string_view::npos &&
         rest.find('&') == std::string_view::npos) {
-      if (Status s = AppendText(rest, /*decode=*/false); !s.ok()) {
-        return error_ = s;
-      }
-      Consume(rest.size());
+      const TextFacts facts =
+          scanner_.ScanText(buffer_.data(), buffer_.size(), pos_);
+      Progress p = WithEmitter([&](auto& emit) {
+        return AppendTextPiece(emit, 0, rest, rest.size(), /*decode=*/false,
+                               facts);
+      });
+      if (p == Progress::kError) return error_;
+      ConsumeCounted(rest.size(), facts.newlines, facts.last_nl);
     } else {
       Fail("unexpected end of document inside markup");
       return error_;
@@ -312,7 +492,7 @@ Status SaxParser::Finish() {
     text_accum_.clear();
     text_all_ws_ = true;
   }
-  if (!open_offsets_.empty()) {
+  if (!open_.empty()) {
     Fail("unexpected end of document: unclosed element <" +
          std::string(TopOpenName()) + ">");
     return error_;
@@ -354,14 +534,15 @@ Status SaxParser::Finish() {
   return Status::Ok();
 }
 
-void SaxParser::EmitPendingTextSlow() {
+template <typename Emit>
+void SaxParser::EmitPendingTextSlow(Emit& emit) {
   text_pending_ = false;
   std::string_view text =
       text_in_view_ ? text_view_ : std::string_view(text_accum_);
   if (!text.empty() &&
       (options_.report_whitespace_text || !text_all_ws_)) {
     ++text_event_count_;
-    handler_->Characters(text);
+    emit.Characters(text);
   }
   text_in_view_ = false;
   text_view_ = {};
@@ -369,67 +550,83 @@ void SaxParser::EmitPendingTextSlow() {
   text_all_ws_ = true;
 }
 
-Status SaxParser::AppendTextPiece(std::string_view raw, bool decode,
-                                  bool has_amp, bool has_ctl, bool all_ws) {
-  if (open_offsets_.empty() && !all_ws) {
-    Fail(seen_root_ ? "character data after the document element"
-                    : "character data before the document element");
-    return error_;
+template <typename Emit>
+SaxParser::Progress SaxParser::AppendTextPiece(Emit& emit, size_t at,
+                                               std::string_view text,
+                                               size_t len, bool decode,
+                                               const TextFacts& facts) {
+  const std::string_view raw(text.data(), len);
+  if (open_.empty() && !facts.all_ws) {
+    size_t first = 0;
+    while (IsWhitespace(raw[first])) ++first;
+    return FailAt(at + first, StatusCode::kParseError,
+                  seen_root_ ? "character data after the document element"
+                             : "character data before the document element");
   }
-  // The XML Char production excludes C0 controls (other than tab/LF/CR)
-  // even inside CDATA; literal bytes get the same treatment decoded
-  // character references always had.
-  if (has_ctl) {
-    Fail("control character in character data");
-    return error_;
+  // The first offending construct in document order decides the error, at
+  // its own position: a literal "]]>" (XML 1.0 §2.4: only the CDATA-end
+  // scanner may consume it), a C0 control other than tab/LF/CR (excluded
+  // by the Char production even inside CDATA, as decoded character
+  // references always were), or a malformed reference — decoded below up
+  // to the first of the other two.
+  size_t bad = len;
+  const char* what = nullptr;
+  if (decode && facts.has_rbracket) {
+    const size_t cdata_end = text.find("]]>");
+    if (cdata_end < bad) {
+      bad = cdata_end;
+      what = "']]>' in character data";
+    }
   }
-  if (decode && has_amp && !raw.empty()) {
-    StatusOr<std::string> decoded = DecodeReferences(raw, &entity_references_);
-    if (!decoded.ok()) {
-      Fail(decoded.status().message());
-      return error_;
+  if (facts.has_ctl) {
+    const size_t ctl = FindForbiddenControlByte(raw.substr(0, bad));
+    if (ctl != std::string_view::npos) {
+      bad = ctl;
+      what = "control character in character data";
     }
-    if (options_.limits.max_entity_references > 0 &&
-        entity_references_ > options_.limits.max_entity_references) {
-      FailLimit("entity-reference budget of " +
-                std::to_string(options_.limits.max_entity_references) +
-                " exceeded");
-      return error_;
-    }
-    MaterializeTextView();
-    text_accum_ += *decoded;
+  }
+  if (decode && facts.has_amp) {
     // References may decode to whitespace (&#32;) or not (&amp;); only the
     // decoded bytes decide.
-    text_all_ws_ = text_all_ws_ && IsAllXmlWhitespace(*decoded);
-  } else if (!text_pending_) {
-    // First (and in the common case only) piece of the run: keep it as a
-    // view into buffer_ and skip the copy entirely.
-    text_view_ = raw;
-    text_in_view_ = true;
-    text_all_ws_ = all_ws;
-  } else {
     MaterializeTextView();
-    text_accum_.append(raw.data(), raw.size());
-    text_all_ws_ = text_all_ws_ && all_ws;
+    const size_t decoded_from = text_accum_.size();
+    size_t error_offset = 0;
+    Status s = AppendDecodedReferences(
+        text, bad, &text_accum_, &entity_references_,
+        options_.limits.max_entity_references, &error_offset);
+    if (!s.ok()) {
+      return FailAt(at + error_offset, s.code(), std::string(s.message()));
+    }
+    text_all_ws_ =
+        text_all_ws_ &&
+        IsAllXmlWhitespace(std::string_view(text_accum_).substr(decoded_from));
+  } else if (what == nullptr) {
+    if (!text_pending_) {
+      // First (and in the common case only) piece of the run: keep it as a
+      // view into buffer_ and skip the copy entirely.
+      text_view_ = raw;
+      text_in_view_ = true;
+      text_all_ws_ = facts.all_ws;
+    } else {
+      MaterializeTextView();
+      text_accum_.append(raw.data(), raw.size());
+      text_all_ws_ = text_all_ws_ && facts.all_ws;
+    }
+  }
+  if (what != nullptr) {
+    return FailAt(at + bad, StatusCode::kParseError, what);
   }
   text_pending_ = true;
-  if (!options_.coalesce_text) EmitPendingText();
-  return Status::Ok();
+  if (!options_.coalesce_text) EmitPendingText(emit);
+  return Progress::kOk;
 }
 
-Status SaxParser::AppendText(std::string_view raw, bool decode) {
-  // Cold-path wrapper: derive the facts the hot paths already have. `raw`
-  // never contains '<' here, so the text scan covers the whole span.
-  TextFacts facts = scanner_.ScanText(raw.data(), raw.size(), 0);
-  return AppendTextPiece(raw, decode, facts.has_amp, facts.has_ctl,
-                         facts.all_ws);
-}
-
-SaxParser::Progress SaxParser::Pump() {
+template <typename Emit>
+SaxParser::Progress SaxParser::Pump(Emit& emit) {
   while (pos_ < buffer_.size()) {
-    Progress p = skip_active_          ? PumpSkip()
-                 : (buffer_[pos_] == '<') ? ParseMarkup()
-                                          : ParseText();
+    Progress p = skip_active_              ? PumpSkip(emit)
+                 : (buffer_[pos_] == '<') ? ParseMarkup(emit)
+                                          : ParseText(emit);
     if (p != Progress::kOk) {
       return p == Progress::kNeedMore ? Progress::kOk : p;
     }
@@ -437,7 +634,8 @@ SaxParser::Progress SaxParser::Pump() {
   return Progress::kOk;
 }
 
-SaxParser::Progress SaxParser::PumpSkip() {
+template <typename Emit>
+SaxParser::Progress SaxParser::PumpSkip(Emit& emit) {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
   size_t consumed = 0;
   SkipScanner::State state = skip_scanner_.Scan(rest, &consumed);
@@ -449,7 +647,7 @@ SaxParser::Progress SaxParser::PumpSkip() {
       return Progress::kNeedMore;
     case SkipScanner::State::kDone:
       skip_active_ = false;
-      return DeliverSkip(skip_scanner_.report());
+      return DeliverSkip(emit, skip_scanner_.report());
     case SkipScanner::State::kError:
       return skip_scanner_.limit_error()
                  ? FailLimit(skip_scanner_.error_message())
@@ -458,8 +656,10 @@ SaxParser::Progress SaxParser::PumpSkip() {
   return Progress::kError;  // unreachable
 }
 
-SaxParser::Progress SaxParser::DeliverSkip(const SkipReport& report) {
-  if (open_offsets_.empty()) seen_root_ = true;
+template <typename Emit>
+SaxParser::Progress SaxParser::DeliverSkip(Emit& emit,
+                                           const SkipReport& report) {
+  if (open_.empty()) seen_root_ = true;
   if (obs::Enabled()) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
     registry.GetCounter("xaos_projection_subtrees_skipped_total")
@@ -478,69 +678,53 @@ SaxParser::Progress SaxParser::DeliverSkip(const SkipReport& report) {
     obs::flight::Emit(span);
   }
   skip_begin_ns_ = 0;
-  handler_->SkippedSubtree(report);
+  emit.SkippedSubtree(report);
   return Progress::kOk;
 }
 
-SaxParser::Progress SaxParser::ParseText() {
-  const char* from = buffer_.data() + pos_;
-  size_t avail = buffer_.size() - pos_;
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseText(Emit& emit) {
   // One classification pass answers every question this function used to
   // make separate passes for: run end, '&', ']', control bytes,
   // whitespace-ness, newline accounting.
   TextFacts facts = scanner_.ScanText(buffer_.data(), buffer_.size(), pos_);
-  bool saw_lt = facts.first_lt != std::string_view::npos;
-  size_t run = saw_lt ? facts.first_lt : avail;
-  std::string_view text(from, run);
-
-  // "]]>" must not appear literally in character data (XML 1.0 §2.4);
-  // only the CDATA-end scanner may consume it.
-  if (facts.has_rbracket &&
-      text.find("]]>") != std::string_view::npos) {
-    return Fail("']]>' in character data");
-  }
+  const bool saw_lt = facts.first_lt != std::string_view::npos;
+  std::string_view text(buffer_.data() + pos_,
+                        saw_lt ? facts.first_lt : buffer_.size() - pos_);
+  size_t len = text.size();
   if (!saw_lt) {
-    // No markup yet. Hold back a trailing incomplete entity reference so it
-    // is not split across chunks; everything before it can be emitted. An
-    // overlong reference is not held back — the decode below rejects it
-    // now instead of buffering an unbounded '&'-payload.
-    size_t held = text.size();
-    if (facts.has_amp) {
-      size_t amp = text.rfind('&');
-      if (amp != std::string_view::npos &&
-          text.find(';', amp) == std::string_view::npos &&
-          text.size() - amp <= kMaxReferenceBodyBytes + 1) {
-        text = text.substr(0, amp);
-      }
-    }
+    // No markup yet. Hold back a trailing reference the next chunk could
+    // still complete; everything before it can be emitted. An overlong
+    // reference is not held back — the decode rejects it now instead of
+    // buffering an unbounded '&'-payload.
+    if (facts.has_amp) len = HeldReferenceStart(text);
     // Likewise hold back a trailing "]" / "]]" so a "]]>" split across
-    // chunks is still caught by the scan above on the next Feed. Two
-    // brackets suffice: any "]]>" ends with exactly these.
+    // chunks is still caught on the next Feed. Two brackets suffice: any
+    // "]]>" ends with exactly these.
     if (facts.has_rbracket) {
       size_t trail = 0;
-      while (trail < 2 && trail < text.size() &&
-             text[text.size() - 1 - trail] == ']') {
+      while (trail < 2 && trail < len && text[len - 1 - trail] == ']') {
         ++trail;
       }
-      text.remove_suffix(trail);
+      len -= trail;
     }
-    if (text.empty()) return Progress::kNeedMore;
+    if (len == 0) return Progress::kNeedMore;
     // The facts described the untrimmed span; rescan the (chunk-boundary,
     // so cold) trimmed remainder, keeping the buffer's block grid.
-    if (text.size() != held) {
-      facts = scanner_.ScanText(buffer_.data(), pos_ + text.size(), pos_);
+    if (len != text.size()) {
+      facts = scanner_.ScanText(buffer_.data(), pos_ + len, pos_);
     }
   }
-  if (Status s = AppendTextPiece(text, /*decode=*/true, facts.has_amp,
-                                 facts.has_ctl, facts.all_ws);
-      !s.ok()) {
+  if (AppendTextPiece(emit, 0, text, len, /*decode=*/true, facts) ==
+      Progress::kError) {
     return Progress::kError;
   }
-  ConsumeCounted(text.size(), facts.newlines, facts.last_nl);
+  ConsumeCounted(len, facts.newlines, facts.last_nl);
   return saw_lt ? Progress::kOk : Progress::kNeedMore;
 }
 
-SaxParser::Progress SaxParser::ParseMarkup() {
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseMarkup(Emit& emit) {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
   // Wait for enough characters to classify the construct unambiguously.
   if (rest.size() < 2) return Progress::kNeedMore;
@@ -550,9 +734,9 @@ SaxParser::Progress SaxParser::ParseMarkup() {
     // text scan that found this '<' touched it).
     size_t gt = scanner_.NextGt(buffer_.data(), buffer_.size(), pos_ + 2);
     if (gt == std::string_view::npos) return Progress::kNeedMore;
-    return ParseEndTag(gt + 2);
+    return ParseEndTag(emit, gt + 2);
   }
-  if (rest[1] == '?') return ParsePi();
+  if (rest[1] == '?') return ParsePi(emit);
   if (rest[1] == '!') {
     if (rest.size() < kMaxIntroducer &&
         (StartsWith(std::string_view("<!--").substr(0, rest.size()), rest) ||
@@ -562,8 +746,8 @@ SaxParser::Progress SaxParser::ParseMarkup() {
                     rest))) {
       return Progress::kNeedMore;
     }
-    if (StartsWith(rest, "<!--")) return ParseComment();
-    if (StartsWith(rest, "<![CDATA[")) return ParseCData();
+    if (StartsWith(rest, "<!--")) return ParseComment(emit);
+    if (StartsWith(rest, "<![CDATA[")) return ParseCData(emit);
     if (StartsWith(rest, "<!DOCTYPE")) return ParseDoctype();
     return Fail("unsupported markup declaration");
   }
@@ -577,16 +761,17 @@ SaxParser::Progress SaxParser::ParseMarkup() {
   if (scan.kind == TagScan::Kind::kBadLt) return Fail("'<' inside tag");
   size_t end = 1 + scan.end;
   bool self_closing = end >= 2 && rest[end - 1] == '/';
-  return ParseStartTag(end, self_closing, scan);
+  return ParseStartTag(emit, end, self_closing, scan);
 }
 
-SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseStartTag(Emit& emit, size_t tag_end,
                                              bool self_closing,
                                              const TagScan& scan) {
   // rest[0] == '<', rest[tag_end] == '>'.
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
-  std::string_view body =
-      rest.substr(1, tag_end - 1 - (self_closing ? 1 : 0));
+  std::string_view body(rest.data() + 1,
+                        tag_end - 1 - (self_closing ? 1 : 0));
 
   const ParserLimits& limits = options_.limits;
   size_t name_len = ScanName(body, 0);
@@ -595,19 +780,21 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     return FailLimit("element name exceeds " +
                      std::to_string(limits.max_name_bytes) + " bytes");
   }
-  std::string_view name = body.substr(0, name_len);
+  std::string_view name(body.data(), name_len);
 
-  if (open_offsets_.empty() && seen_root_) {
+  if (open_.empty() && seen_root_) {
     return Fail("multiple document elements (second root <" +
                 std::string(name) + ">)");
   }
-  if (static_cast<int>(open_offsets_.size()) >= limits.max_depth) {
+  if (static_cast<int>(open_.size()) >= limits.max_depth) {
     return FailLimit("maximum element depth of " +
                      std::to_string(limits.max_depth) + " exceeded");
   }
 
+  // The text before this tag is complete either way.
+  EmitPendingText(emit);
   if (projection_filter_ != nullptr &&
-      projection_filter_->ShouldSkipSubtree(name, open_offsets_.size())) {
+      projection_filter_->ShouldSkipSubtree(name, open_.size())) {
     // The whole subtree is irrelevant: account for the start tag, then let
     // the skip scanner race to the matching end tag. The element is never
     // pushed onto the open-element stack and emits no events.
@@ -616,29 +803,53 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     // The tag scan already paired the quotes; no re-scan of the body.
     initial.node_ids = 1 + scan.quoted_values;
     initial.bytes = tag_end + 1;
-    EmitPendingText();
     ConsumeCounted(tag_end + 1, scan.newlines,
                    scan.newlines > 0 ? scan.last_nl + 1 : scan.last_nl);
-    if (self_closing) return DeliverSkip(initial);
-    skip_scanner_.Begin(initial, open_offsets_.size(), limits.max_depth,
+    if (self_closing) return DeliverSkip(emit, initial);
+    skip_scanner_.Begin(initial, open_.size(), limits.max_depth,
                         options_.report_whitespace_text);
     skip_active_ = true;
     if (obs::flight::Active()) skip_begin_ns_ = obs::NowNs();
     return Progress::kOk;
   }
 
-  // Attributes. Views point into `body` (and thus buffer_) or into reused
-  // decode slots; both stay valid until the StartElement callback returns,
-  // which happens before Consume() advances past this tag.
-  attributes_.clear();
-  size_t decode_used = 0;
-  size_t i = name_len;
+  emit.OpenStartElement(name);
+  if (name_len < body.size()) {
+    if (ParseAttributes(emit, body, name_len) == Progress::kError) {
+      emit.DiscardStartElement();
+      return Progress::kError;
+    }
+  }
+  NameKey key = KeyOf(name);
+  key.symbol = InternName(name, key);
+  emit.CloseStartElement(name, key.symbol);
+  ++element_count_;
+  if (self_closing) {
+    emit.EndElement(name);
+    if (open_.empty()) seen_root_ = true;
+  } else {
+    open_.push_back(key);
+  }
+  ConsumeCounted(tag_end + 1, scan.newlines,
+                 scan.newlines > 0 ? scan.last_nl + 1 : scan.last_nl);
+  return Progress::kOk;
+}
+
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseAttributes(Emit& emit,
+                                               std::string_view body,
+                                               size_t i) {
+  // Raw names and values are views into `body` (and thus buffer_), which
+  // stays put until the tag is consumed; decoded values live in the
+  // emitter's decode slot.
+  const ParserLimits& limits = options_.limits;
+  size_t count = 0;
   while (true) {
     size_t ws = i;
     while (i < body.size() && IsWhitespace(body[i])) ++i;
-    if (i >= body.size()) break;
+    if (i >= body.size()) return Progress::kOk;
     if (i == ws) return Fail("expected whitespace before attribute");
-    if (attributes_.size() >= limits.max_attribute_count) {
+    if (count >= limits.max_attribute_count) {
       return FailLimit("more than " +
                        std::to_string(limits.max_attribute_count) +
                        " attributes on one element");
@@ -649,7 +860,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
       return FailLimit("attribute name exceeds " +
                        std::to_string(limits.max_name_bytes) + " bytes");
     }
-    std::string_view attr_name = body.substr(i, attr_len);
+    std::string_view attr_name(body.data() + i, attr_len);
     i += attr_len;
     while (i < body.size() && IsWhitespace(body[i])) ++i;
     if (i >= body.size() || body[i] != '=') {
@@ -667,7 +878,7 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     if (value_end == std::string_view::npos) {
       return Fail("unterminated attribute value");
     }
-    std::string_view raw_value = body.substr(i, value_end - i);
+    std::string_view raw_value(body.data() + i, value_end - i);
     if (raw_value.size() > limits.max_attribute_value_bytes) {
       return FailLimit("attribute value exceeds " +
                        std::to_string(limits.max_attribute_value_bytes) +
@@ -685,65 +896,45 @@ SaxParser::Progress SaxParser::ParseStartTag(size_t tag_end,
     if (value_facts.has_ctl) {
       return Fail("control character in attribute value");
     }
-    std::string_view value_view = raw_value;
+    std::string_view value = raw_value;
     if (value_facts.has_amp) {
-      StatusOr<std::string> value =
-          DecodeReferences(raw_value, &entity_references_);
-      if (!value.ok()) return Fail(value.status().message());
-      if (limits.max_entity_references > 0 &&
-          entity_references_ > limits.max_entity_references) {
-        return FailLimit(
-            "entity-reference budget of " +
-            std::to_string(limits.max_entity_references) + " exceeded");
-      }
-      if (decode_used == attr_decode_slots_.size()) {
-        attr_decode_slots_.emplace_back();
-      }
-      std::string& slot = attr_decode_slots_[decode_used++];
-      slot.assign(*value);
-      value_view = slot;
+      std::string* slot = emit.DecodeSlot();
+      size_t error_offset = 0;
+      Status s = AppendDecodedReferences(raw_value, raw_value.size(), slot,
+                                         &entity_references_,
+                                         limits.max_entity_references,
+                                         &error_offset);
+      if (!s.ok()) return FailWith(s.code(), std::string(s.message()));
+      value = *slot;
     }
-    util::Symbol attr_symbol = InternName(attr_name);
+    util::Symbol attr_symbol = InternName(attr_name, KeyOf(attr_name));
     // Interned ids make uniqueness an integer compare (names are equal iff
     // their Symbols are).
-    for (const AttributeView& existing : attributes_) {
-      if (existing.symbol == attr_symbol) {
-        return Fail("duplicate attribute '" + std::string(attr_name) + "'");
-      }
+    if (emit.HasAttribute(attr_symbol)) {
+      return Fail("duplicate attribute '" + std::string(attr_name) + "'");
     }
-    attributes_.push_back({attr_name, value_view, attr_symbol});
+    emit.AddAttribute(attr_name, value, attr_symbol);
+    ++count;
     i = value_end + 1;
   }
-
-  EmitPendingText();
-  handler_->StartElement(QName(name, InternName(name)),
-                         AttributeSpan(attributes_));
-  ++element_count_;
-  if (self_closing) {
-    handler_->EndElement(name);
-    if (open_offsets_.empty()) seen_root_ = true;
-  } else {
-    PushOpenName(name);
-  }
-  ConsumeCounted(tag_end + 1, scan.newlines,
-                 scan.newlines > 0 ? scan.last_nl + 1 : scan.last_nl);
-  return Progress::kOk;
 }
 
-SaxParser::Progress SaxParser::ParseEndTag(size_t tag_end) {
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseEndTag(Emit& emit, size_t tag_end) {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
-  std::string_view body = rest.substr(2, tag_end - 2);
+  std::string_view body(rest.data() + 2, tag_end - 2);
   // Fast path: the body is byte-identical to the open element's name — the
   // canonical well-formed shape. That name already passed Name syntax and
   // the length limit at its start tag, and a Name cannot contain newlines,
-  // so one memcmp replaces the per-byte name walk, the trailing-whitespace
-  // check and the newline count. Any other shape (trailing whitespace,
-  // mismatch, empty stack) falls through to the validating path below.
-  if (!open_offsets_.empty() && body == TopOpenName()) {
-    EmitPendingText();
-    handler_->EndElement(body);
-    PopOpenName();
-    if (open_offsets_.empty()) seen_root_ = true;
+  // so one key compare replaces the per-byte name walk, the
+  // trailing-whitespace check and the newline count. Any other shape
+  // (trailing whitespace, mismatch, empty stack) falls through to the
+  // validating path below.
+  if (!open_.empty() && ClosesTop(body)) {
+    EmitPendingText(emit);
+    emit.EndElement(body);
+    open_.pop_back();
+    if (open_.empty()) seen_root_ = true;
     pos_ += tag_end + 1;
     column_ += static_cast<int>(tag_end) + 1;
     seen_any_content_ = true;
@@ -761,22 +952,23 @@ SaxParser::Progress SaxParser::ParseEndTag(size_t tag_end) {
   while (i < body.size() && IsWhitespace(body[i])) ++i;
   if (i != body.size()) return Fail("junk in end tag");
 
-  if (open_offsets_.empty()) {
+  if (open_.empty()) {
     return Fail("end tag </" + std::string(name) + "> with no open element");
   }
   if (TopOpenName() != name) {
     return Fail("mismatched end tag: expected </" + std::string(TopOpenName()) +
                 ">, found </" + std::string(name) + ">");
   }
-  EmitPendingText();
-  handler_->EndElement(name);
-  PopOpenName();
-  if (open_offsets_.empty()) seen_root_ = true;
+  EmitPendingText(emit);
+  emit.EndElement(name);
+  open_.pop_back();
+  if (open_.empty()) seen_root_ = true;
   Consume(tag_end + 1);
   return Progress::kOk;
 }
 
-SaxParser::Progress SaxParser::ParseComment() {
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseComment(Emit& emit) {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
   size_t end = rest.find("-->", 4);
   if (end == std::string_view::npos) return Progress::kNeedMore;
@@ -788,35 +980,38 @@ SaxParser::Progress SaxParser::ParseComment() {
     return Fail("comment must not end with '-'");
   }
   if (options_.report_comments) {
-    EmitPendingText();
+    EmitPendingText(emit);
     handler_->Comment(text);
   }
   Consume(end + 3);
   return Progress::kOk;
 }
 
-SaxParser::Progress SaxParser::ParseCData() {
+template <typename Emit>
+SaxParser::Progress SaxParser::ParseCData(Emit& emit) {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
   size_t end = rest.find("]]>", 9);
   if (end == std::string_view::npos) return Progress::kNeedMore;
-  if (open_offsets_.empty()) {
+  if (open_.empty()) {
     return Fail("CDATA section outside the document element");
   }
   std::string_view text = rest.substr(9, end - 9);
-  // CDATA content may legally contain '<' and '&', so only the control-byte
-  // and whitespace facts matter (and no decoding happens).
-  CDataFacts facts =
-      scanner_.ScanCData(buffer_.data(), buffer_.size(), pos_ + 9, end - 9);
-  if (Status s = AppendTextPiece(text, /*decode=*/false, /*has_amp=*/false,
-                                 facts.has_ctl, facts.all_ws);
-      !s.ok()) {
+  // CDATA content may legally contain '<', '&' and ']]' runs, so only the
+  // control-byte and whitespace facts matter (and no decoding happens).
+  const CDataFacts cdata = scanner_.ScanCData(text);
+  TextFacts facts{};
+  facts.has_ctl = cdata.has_ctl;
+  facts.all_ws = cdata.all_ws;
+  if (AppendTextPiece(emit, 9, text, text.size(), /*decode=*/false, facts) ==
+      Progress::kError) {
     return Progress::kError;
   }
   Consume(end + 3);
   return Progress::kOk;
 }
 
-SaxParser::Progress SaxParser::ParsePi() {
+template <typename Emit>
+SaxParser::Progress SaxParser::ParsePi(Emit& emit) {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
   size_t end = rest.find("?>", 2);
   if (end == std::string_view::npos) return Progress::kNeedMore;
@@ -841,7 +1036,7 @@ SaxParser::Progress SaxParser::ParsePi() {
       return Fail("XML declaration not at start of document");
     }
   } else if (options_.report_processing_instructions) {
-    EmitPendingText();
+    EmitPendingText(emit);
     handler_->ProcessingInstruction(target, data);
   }
   Consume(end + 2);
@@ -850,7 +1045,7 @@ SaxParser::Progress SaxParser::ParsePi() {
 
 SaxParser::Progress SaxParser::ParseDoctype() {
   std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
-  if (seen_root_ || !open_offsets_.empty()) {
+  if (seen_root_ || !open_.empty()) {
     return Fail("DOCTYPE after the document element started");
   }
   // Skip to the matching '>' of the declaration, honoring the optional

@@ -108,6 +108,14 @@ struct ParserOptions {
 //
 // After the first error the parser is poisoned: further calls return the
 // same error. The handler pointer must outlive the parser.
+//
+// Fused front end: when the handler exposes an EventBatcher
+// (ContentHandler::batcher — EventBatcher itself, core::BatchedDispatcher,
+// core::ParallelFleet) and no phase timers are set, the parser appends the
+// element, text and skip records straight into that batcher's current
+// batch instead of calling the handler; the batches are byte-identical to
+// what the callbacks would have captured. Every other handler gets exact
+// per-event callbacks.
 class SaxParser {
  public:
   explicit SaxParser(ContentHandler* handler, ParserOptions options = {});
@@ -136,41 +144,72 @@ class SaxParser {
  private:
   enum class Progress { kOk, kNeedMore, kError };
 
-  Progress Pump();                      // parse as much of buffer_ as possible
-  Progress ParseText();                 // content until '<'
-  Progress ParseMarkup();               // dispatch on "<...": tag/comment/...
+  // The two event emitters every parse routine below is instantiated with
+  // (defined in sax_parser.cc): CallbackEmitter delivers each event through
+  // the handler's virtual callbacks; RecordEmitter appends element, text
+  // and skip records straight into the EventBatcher the handler exposes
+  // (ContentHandler::batcher). The routines exist once; the emitter is a
+  // compile-time choice made once per Feed()/Finish().
+  class CallbackEmitter;
+  class RecordEmitter;
+  template <typename Fn>
+  Progress WithEmitter(Fn&& fn);
+
+  template <typename Emit>
+  Progress Pump(Emit& emit);            // parse as much of buffer_ as possible
+  template <typename Emit>
+  Progress ParseText(Emit& emit);       // content until '<'
+  template <typename Emit>
+  Progress ParseMarkup(Emit& emit);     // dispatch on "<...": tag/comment/...
   // `scan` is the structural scan of the tag body (rest[1..tag_end)); it
   // carries the quoted-value count and newline accounting for the tag.
-  Progress ParseStartTag(size_t tag_end, bool self_closing,
+  template <typename Emit>
+  Progress ParseStartTag(Emit& emit, size_t tag_end, bool self_closing,
                          const TagScan& scan);
-  Progress ParseEndTag(size_t tag_end);
-  Progress ParseComment();
-  Progress ParseCData();
-  Progress ParsePi();
+  // Validates the attributes of a start-tag body from offset `i` (just
+  // past the element name) and hands each one to the emitter.
+  template <typename Emit>
+  Progress ParseAttributes(Emit& emit, std::string_view body, size_t i);
+  template <typename Emit>
+  Progress ParseEndTag(Emit& emit, size_t tag_end);
+  template <typename Emit>
+  Progress ParseComment(Emit& emit);
+  template <typename Emit>
+  Progress ParseCData(Emit& emit);
+  template <typename Emit>
+  Progress ParsePi(Emit& emit);
   Progress ParseDoctype();
-  Progress PumpSkip();                  // advance an active subtree skip
+  template <typename Emit>
+  Progress PumpSkip(Emit& emit);        // advance an active subtree skip
   // Completes a skip: updates projection counters, marks the root seen when
-  // the skipped subtree was the document element, and notifies the handler.
-  Progress DeliverSkip(const SkipReport& report);
+  // the skipped subtree was the document element, and emits the report.
+  template <typename Emit>
+  Progress DeliverSkip(Emit& emit, const SkipReport& report);
 
   // Record a well-formedness error (kParseError) / a limit rejection
   // (kResourceExhausted); both poison the parser and return kError.
   Progress Fail(std::string message);
   Progress FailLimit(std::string message);
   Progress FailWith(StatusCode code, std::string message);
-  // Flush pending text to the handler. Called once per markup event, and
+  // FailWith, positioned `offset` bytes past pos_ (the offending byte).
+  Progress FailAt(size_t offset, StatusCode code, std::string message);
+  // Flush pending text to the emitter. Called once per markup event, and
   // usually with nothing pending — the guard stays inline.
-  void EmitPendingText() {
-    if (text_pending_) EmitPendingTextSlow();
+  template <typename Emit>
+  void EmitPendingText(Emit& emit) {
+    if (text_pending_) EmitPendingTextSlow(emit);
   }
-  void EmitPendingTextSlow();
-  // Appends one character-data piece to the pending run. The bool facts
-  // come from a structural scan of `raw` (whole-span coverage); the hot
-  // paths hand down the facts they already computed, the cold wrapper
-  // AppendText() derives them itself.
-  Status AppendTextPiece(std::string_view raw, bool decode, bool has_amp,
-                         bool has_ctl, bool all_ws);
-  Status AppendText(std::string_view raw, bool decode);
+  template <typename Emit>
+  void EmitPendingTextSlow(Emit& emit);
+  // Appends one character-data piece, text[0, len), to the pending run.
+  // The piece starts `at` bytes past pos_; `text` may extend past the
+  // piece (to the bytes already buffered) so a reference that starts
+  // inside the piece decodes as the whole document would decode it.
+  // `facts` come from a structural scan of the piece. Reports the first
+  // offending construct in document order at its own position.
+  template <typename Emit>
+  Progress AppendTextPiece(Emit& emit, size_t at, std::string_view text,
+                           size_t len, bool decode, const TextFacts& facts);
   // Copies a zero-copy pending-text view into text_accum_. Must run before
   // anything mutates buffer_ (the view points into it).
   void MaterializeTextView();
@@ -178,6 +217,8 @@ class SaxParser {
   // Consume() with the newline accounting precomputed by a structural scan
   // of the consumed span: `newlines` '\n's, the last at offset `last_nl`.
   void ConsumeCounted(size_t n, uint32_t newlines, size_t last_nl);
+  // Reused decode buffer `i` for attribute values with references.
+  std::string* DecodeSlot(size_t i);
 
   // Validating helpers.
   static bool IsNameStartChar(unsigned char c);
@@ -186,19 +227,36 @@ class SaxParser {
   // Parses a Name starting at `i` within `s`; returns its length or 0.
   static size_t ScanName(std::string_view s, size_t i);
 
-  // Open-element-stack accessors over the arena representation (see
-  // open_names_ / open_offsets_ below).
-  size_t OpenDepth() const { return open_offsets_.size(); }
+  // A fixed-width identity of a name, built from constant-size loads (no
+  // memcmp, no byte loop): for names of at most kNameKeyBytes bytes two
+  // names are equal iff their keys are; longer names share a key only as
+  // a first filter. The key also carries the name's Symbol where one is
+  // known (open elements, name-cache slots); it is not part of the
+  // identity. 32 bytes, so the two ways of a cache set fill one line.
+  struct NameKey {
+    uint64_t head = 0;
+    uint64_t mid = 0;
+    uint64_t tail = 0;
+    uint32_t len = 0;
+    util::Symbol symbol = util::kInvalidSymbol;
+    bool SameName(const NameKey& other) const {
+      return ((head ^ other.head) | (mid ^ other.mid) | (tail ^ other.tail) |
+              (len ^ other.len)) == 0;
+    }
+  };
+  static constexpr size_t kNameKeyBytes = 24;
+  static NameKey KeyOf(std::string_view name);
+
+  // The open-element stack holds each element's key with its Symbol: the
+  // end-tag check compares keys, and the Symbol recovers the spelling for
+  // messages.
   std::string_view TopOpenName() const {
-    return std::string_view(open_names_).substr(open_offsets_.back());
+    return util::SymbolTable::Global().Name(open_.back().symbol);
   }
-  void PushOpenName(std::string_view name) {
-    open_offsets_.push_back(open_names_.size());
-    open_names_.append(name);
-  }
-  void PopOpenName() {
-    open_names_.resize(open_offsets_.back());
-    open_offsets_.pop_back();
+  // Whether `name` closes the innermost open element.
+  bool ClosesTop(std::string_view name) const {
+    return KeyOf(name).SameName(open_.back()) &&
+           (name.size() <= kNameKeyBytes || name == TopOpenName());
   }
 
   ContentHandler* handler_;
@@ -207,9 +265,14 @@ class SaxParser {
   // which times callbacks into the match phase before forwarding to the
   // user's handler.
   std::unique_ptr<ContentHandler> timing_wrapper_;
+  // handler_->batcher(): non-null selects the RecordEmitter.
+  EventBatcher* batcher_ = nullptr;
 
-  std::string buffer_;     // unconsumed input (suffix of the stream)
-  size_t pos_ = 0;         // consumed prefix of buffer_
+  // Unconsumed input (a suffix of the stream) behind a consumed prefix of
+  // pos_ bytes. Compaction erases whole 64-byte blocks only, so the
+  // scanner's mask array keeps its grid (pos_ < 64 right after a Feed).
+  std::string buffer_;
+  size_t pos_ = 0;
 
   // Pending character data. The common case — one contiguous raw run, no
   // references to decode — is held as a zero-copy view into buffer_
@@ -224,11 +287,8 @@ class SaxParser {
   bool text_all_ws_ = true;
   bool text_pending_ = false;  // a (possibly empty) run is pending
 
-  // Stack of open element names as one arena string plus start offsets:
-  // push/pop happen once per element, and this layout makes them a byte
-  // append / resize instead of a std::string construct / destroy.
-  std::string open_names_;
-  std::vector<size_t> open_offsets_;
+  // Stack of open elements: push/pop are one fixed-size record each.
+  std::vector<NameKey> open_;
   bool started_document_ = false;
   bool seen_root_ = false;
   bool seen_any_content_ = false;  // anything consumed (XML decl gating)
@@ -242,30 +302,33 @@ class SaxParser {
   uint64_t text_event_count_ = 0;
   uint64_t entity_references_ = 0;  // decoded so far (limits budget)
 
-  // Per-start-tag scratch, reused across tags so steady-state parsing does
-  // no per-attribute heap allocation: `attributes_` holds views into
-  // buffer_ (or into a reused decode slot when the raw value contains
-  // references).
+  // Per-start-tag scratch for the CallbackEmitter, reused across tags so
+  // steady-state parsing does no per-attribute heap allocation:
+  // `attributes_` holds views into buffer_ (or into a reused decode slot
+  // when the raw value contains references).
   std::vector<AttributeView> attributes_;
   // Deque: slot strings must not move while attributes_ views into them.
   std::deque<std::string> attr_decode_slots_;
 
-  // Vectorized structural front-end shared by every hot loop below; the
-  // skip scanner owns a sibling instance pinned to the same backend.
+  // Vectorized structural front-end for every hot loop below, holding the
+  // mask array for buffer_; the skip scanner owns a sibling instance pinned
+  // to the same backend.
   StructuralScanner scanner_;
 
-  // Parser-local front for SymbolTable::Global(): element and attribute
-  // names repeat heavily within one document, so a tiny direct-mapped
-  // cache turns most Intern calls (hash + atomic probe + chain walk) into
-  // one memcmp against a cached spelling.
-  struct NameCacheSlot {
-    uint8_t len = 0;  // 0 = empty
-    char bytes[23];
-    util::Symbol symbol = util::kInvalidSymbol;
-  };
-  static constexpr size_t kNameCacheSlots = 64;  // power of two
-  NameCacheSlot name_cache_[kNameCacheSlots];
-  util::Symbol InternName(std::string_view name);
+  // Element and attribute names repeat heavily, within a document and
+  // across the documents one thread parses, so a small set-associative
+  // cache in front of SymbolTable::Global() turns most Intern calls (hash +
+  // atomic probe + chain walk) into one compare against a cached NameKey.
+  // The cache is thread-local (Symbols are process-wide and stable, so a
+  // hit is valid for any parser on that thread); Feed() and Finish() fetch
+  // the calling thread's cache, so a parser handed between threads never
+  // shares one.
+  static constexpr size_t kNameCacheSets = 256;  // power of two; 2 ways
+  // The calling thread's 2 * kNameCacheSets slots (len 0 = empty).
+  static NameKey* ThreadNameCache();
+  NameKey* name_cache_ = nullptr;
+  // Symbol of `name`, whose key is `key` (its symbol field unset).
+  util::Symbol InternName(std::string_view name, const NameKey& key);
 
   // Document projection. Null unless options_.projection_filter is set and
   // compatible with the event options (see ParserOptions).

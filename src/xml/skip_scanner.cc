@@ -117,8 +117,7 @@ void SkipScanner::ProcessCData(std::string_view content) {
   if (content.empty()) return;
   run_has_content_ = true;
   if (count_ws_runs_ || run_non_ws_) return;
-  if (!scanner_.ScanCData(content.data(), content.size(), 0, content.size())
-           .all_ws) {
+  if (!scanner_.ScanCData(content).all_ws) {
     run_non_ws_ = true;
   }
 }

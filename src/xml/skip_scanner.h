@@ -90,10 +90,6 @@ class SkipScanner {
   // the parser folds them into xaos_scanner_bytes_classified_total.
   uint64_t TakeScannerBytes() { return scanner_.TakeBytesClassified(); }
 
-  // Drops cached block masks; the parser calls this when its buffer (which
-  // Scan()'s input views into) is compacted or grown.
-  void InvalidateScannerCache() { scanner_.InvalidateCache(); }
-
  private:
   State Error(std::string message, size_t at, size_t* consumed);
   State LimitError(std::string message, size_t at, size_t* consumed);

@@ -375,22 +375,25 @@ void StructuralScanner::SetBackend(ScannerBackend backend) {
   }
   backend_ = backend;
   classify_ = fn;
-  InvalidateCache();
+  ResetBlocks();
 }
 
-void StructuralScanner::InvalidateCache() {
-  for (CacheSlot& slot : cache_) slot.valid = false;
-}
-
-const BlockMasks& StructuralScanner::Block(const char* base, size_t size,
-                                           size_t block_start,
-                                           BlockMasks* scratch) const {
-  const size_t len = size - block_start;
-  if (len >= kBlock) return FullBlock(base, block_start);
-  // Partial block at the buffer tail: more bytes may still arrive for it,
-  // so it is classified fresh every time and never cached.
-  ClassifyTail(base + block_start, len, scratch);
-  return *scratch;
+void StructuralScanner::Fill(const char* base, size_t size,
+                             size_t block) const {
+  if (window_ == nullptr) {
+    // Default-initialized: every slot is classified before it is read.
+    window_.reset(new BlockMasks[kWindowBlocks]);
+  }
+  if (block < lo_ || block > hi_) lo_ = hi_ = block;
+  size_t end = block + kFillAheadBlocks;
+  if (end > origin_ + size / kBlock) end = origin_ + size / kBlock;
+  for (size_t k = hi_; k < end; ++k) {
+    classify_(base + (k - origin_) * kBlock,
+              &window_[k & (kWindowBlocks - 1)]);
+  }
+  bytes_classified_ += (end - hi_) * kBlock;
+  hi_ = end;
+  if (hi_ - lo_ > kWindowBlocks) lo_ = hi_ - kWindowBlocks;
 }
 
 void StructuralScanner::ClassifyTail(const char* p, size_t len,
@@ -412,35 +415,12 @@ void StructuralScanner::ClassifyTail(const char* p, size_t len,
   out->ctl &= keep;
 }
 
-TextFacts StructuralScanner::ScanTextGeneral(const char* base, size_t size,
-                                             size_t from) const {
-  TextFacts facts{kNpos, false, false, false, true, 0, kNpos};
-  BlockMasks scratch;
-  for (size_t bs = from & ~(kBlock - 1); bs < size; bs += kBlock) {
-    const BlockMasks& m = Block(base, size, bs, &scratch);
-    const size_t len = size - bs < kBlock ? size - bs : kBlock;
-    uint64_t valid = len == kBlock ? ~0ull : (~0ull >> (kBlock - len));
-    if (bs < from) valid &= ~0ull << (from - bs);
-    const uint64_t lt = m.lt & valid;
-    uint64_t keep = valid;
-    if (lt != 0) {
-      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(lt));
-      facts.first_lt = bs + bit - from;
-      keep = valid & (bit == 0 ? 0 : (~0ull >> (kBlock - bit)));
-    }
-    facts.has_amp |= (m.amp & keep) != 0;
-    facts.has_rbracket |= (m.rbracket & keep) != 0;
-    facts.has_ctl |= (m.ctl & keep) != 0;
-    facts.all_ws = facts.all_ws && ((m.ws & keep) == keep);
-    const uint64_t nl = m.newline & keep;
-    if (nl != 0) {
-      facts.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
-      facts.last_nl =
-          bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
-    }
-    if (lt != 0) break;
-  }
-  return facts;
+void StructuralScanner::ScanTextTail(const char* base, size_t size,
+                                     size_t bs, uint64_t valid, size_t from,
+                                     TextFacts* facts) const {
+  BlockMasks m;
+  ClassifyTail(base + bs, size - bs, &m);
+  AddTextBlock(m, valid & (~0ull >> (kBlock - (size - bs))), bs, from, facts);
 }
 
 TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
@@ -487,10 +467,10 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         const uint64_t below =
             first_gt == 0 ? 0 : (~0ull >> (kBlock - first_gt));
         scan.quoted_values += static_cast<uint64_t>(
-            __builtin_popcountll(closing & below));
+            ScannerPopcount(closing & below));
         const uint64_t nl = m.newline & valid & below;
         if (nl != 0) {
-          scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+          scan.newlines += static_cast<uint32_t>(ScannerPopcount(nl));
           scan.last_nl =
               bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
         }
@@ -512,10 +492,10 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
         continue;
       }
       scan.quoted_values +=
-          static_cast<uint64_t>(__builtin_popcountll(closing));
+          static_cast<uint64_t>(ScannerPopcount(closing));
       const uint64_t nl = m.newline & valid;
       if (nl != 0) {
-        scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+        scan.newlines += static_cast<uint32_t>(ScannerPopcount(nl));
         scan.last_nl =
             bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
       }
@@ -558,7 +538,7 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
             valid & (bit == 0 ? 0 : (~0ull >> (kBlock - bit)));
         const uint64_t nl = m.newline & below;
         if (nl != 0) {
-          scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+          scan.newlines += static_cast<uint32_t>(ScannerPopcount(nl));
           scan.last_nl =
               bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
         }
@@ -577,7 +557,7 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
     }
     const uint64_t nl = m.newline & valid;
     if (nl != 0) {
-      scan.newlines += static_cast<uint32_t>(__builtin_popcountll(nl));
+      scan.newlines += static_cast<uint32_t>(ScannerPopcount(nl));
       scan.last_nl =
           bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
     }
@@ -585,16 +565,13 @@ TagScan StructuralScanner::ScanTagGeneral(const char* base, size_t size,
   return scan;
 }
 
-size_t StructuralScanner::NextGtGeneral(const char* base, size_t size,
-                                        size_t from) const {
-  BlockMasks scratch;
-  for (size_t bs = from & ~(kBlock - 1); bs < size; bs += kBlock) {
-    const BlockMasks& m = Block(base, size, bs, &scratch);
-    uint64_t g = m.gt;
-    if (bs < from) g &= ~0ull << (from - bs);
-    if (g != 0) return bs + static_cast<unsigned>(__builtin_ctzll(g)) - from;
-  }
-  return std::string_view::npos;
+size_t StructuralScanner::NextGtTail(const char* base, size_t size, size_t bs,
+                                     uint64_t valid, size_t from) const {
+  BlockMasks m;
+  ClassifyTail(base + bs, size - bs, &m);
+  const uint64_t g = m.gt & valid;
+  if (g == 0) return kNpos;
+  return bs + static_cast<unsigned>(__builtin_ctzll(g)) - from;
 }
 
 ValueFacts StructuralScanner::ScanValueGeneral(const char* base, size_t size,
@@ -614,16 +591,18 @@ ValueFacts StructuralScanner::ScanValueGeneral(const char* base, size_t size,
   return facts;
 }
 
-CDataFacts StructuralScanner::ScanCData(const char* base, size_t size,
-                                        size_t from, size_t len) const {
+CDataFacts StructuralScanner::ScanCData(std::string_view span) const {
   CDataFacts facts{false, true};
-  const size_t end = from + len;
-  BlockMasks scratch;
-  for (size_t bs = from & ~(kBlock - 1); bs < end; bs += kBlock) {
-    const BlockMasks& m = Block(base, size, bs, &scratch);
+  BlockMasks m;
+  for (size_t bs = 0; bs < span.size(); bs += kBlock) {
+    const size_t len = span.size() - bs;
     uint64_t window = ~0ull;
-    if (end - bs < kBlock) window = ~0ull >> (kBlock - (end - bs));
-    if (bs < from) window &= ~0ull << (from - bs);
+    if (len >= kBlock) {
+      ClassifyFullBlock(span.data() + bs, &m);
+    } else {
+      ClassifyTail(span.data() + bs, len, &m);
+      window = ~0ull >> (kBlock - len);
+    }
     facts.has_ctl |= (m.ctl & window) != 0;
     facts.all_ws = facts.all_ws && ((m.ws & window) == window);
   }

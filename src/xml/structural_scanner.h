@@ -30,17 +30,19 @@
 // so backends can only disagree if a kernel mis-classifies a byte, which is
 // exactly what the differential tests and fuzz_scanner_diff check.
 //
-// Chunk-boundary safety: the drivers are pure functions over the span they
-// are given; resumability (split quotes, CDATA sections, comments across
-// Feed() calls) stays where it always lived — in the parser's and skip
-// scanner's held-back-bytes contract. A caller that got kNeedMore simply
-// rescans the (bounded) unconsumed suffix when more input arrives.
+// Chunk-boundary safety: a driver's answer depends only on the bytes of the
+// span it is given (the mask array merely remembers their classification);
+// resumability (split quotes, CDATA sections, comments across Feed() calls)
+// stays in the parser's and skip scanner's held-back-bytes contract. A
+// caller that got kNeedMore rescans the (bounded) unconsumed suffix when
+// more input arrives, reading its already classified blocks again.
 
 #ifndef XAOS_XML_STRUCTURAL_SCANNER_H_
 #define XAOS_XML_STRUCTURAL_SCANNER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 
 #include "util/statusor.h"
@@ -87,6 +89,19 @@ inline uint64_t ScannerPrefixXor(uint64_t x) {
   x ^= x << 16;
   x ^= x << 32;
   return x;
+}
+
+// Population count. Without -mpopcnt, __builtin_popcountll compiles to a
+// libgcc call; the per-tag paths below use this inline bit-slice form then.
+inline unsigned ScannerPopcount(uint64_t x) {
+#if defined(__POPCNT__)
+  return static_cast<unsigned>(__builtin_popcountll(x));
+#else
+  x = x - ((x >> 1) & 0x5555555555555555ull);
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+#endif
 }
 
 // --- Backend selection -----------------------------------------------------
@@ -159,18 +174,22 @@ struct CDataFacts {
   bool all_ws;
 };
 
-// A configured classification front-end with a small block-mask cache.
+// A configured classification front-end over one growing buffer.
 //
-// All drivers address one shared buffer through (base, size, from): blocks
-// live on a 64-byte grid anchored at `base`, so consecutive scans over the
-// same buffer — text run, then the tag that ends it, then that tag's
-// attribute values — land on the same grid and reuse each other's masks.
-// A full 64-byte block is classified at most once per pass over the buffer
-// (the cache is a tiny direct-mapped array keyed by block offset); partial
-// blocks at the buffer tail are classified fresh each time, since more
-// bytes may arrive for them. The buffer's owner MUST call
-// InvalidateCache() whenever it mutates the buffer (the parser does so in
-// Feed(), where compaction shifts the contents).
+// All drivers address the owner's buffer through (base, size, from): blocks
+// live on a 64-byte grid anchored at `base`, and the masks of full blocks
+// are kept in a mask array on that grid — a ring covering the most recent
+// kWindowBlocks blocks — so consecutive scans (text run, then the tag that
+// ends it, then that tag's attribute values) read each other's masks with
+// one indexed load. A full block is classified once: in runs of up to
+// kFillAheadBlocks, ahead of the first scan that needs it, so a range the
+// owner consumes without scanning (a projection skip) is never classified
+// at all. The partial block at the buffer tail is classified fresh each
+// time, since more bytes may arrive for it. Appending to the buffer leaves
+// the array valid (full blocks never change); an owner that erases a
+// prefix must erase a whole number of blocks and call DropBlocks() with
+// that number, which shifts the grid, or call ResetBlocks() for any other
+// mutation.
 //
 // All offsets in the returned fact structs are relative to `from`.
 class StructuralScanner {
@@ -182,41 +201,29 @@ class StructuralScanner {
   void SetBackend(ScannerBackend backend);
   ScannerBackend backend() const { return backend_; }
 
-  // Drops all cached block masks. Call after the underlying buffer mutates.
-  void InvalidateCache();
+  // Forgets every classified block.
+  void ResetBlocks() { origin_ = lo_ = hi_ = 0; }
+  // The owner erased the first `count` blocks of its buffer: block k + count
+  // becomes block k.
+  void DropBlocks(size_t count) { origin_ += count; }
 
   // One-pass facts for the character-data run [from, size) (stopping at the
-  // first '<'). Inline fast path: the run resolves (hits its '<') inside
-  // the first block — the dominant shape for markup-dense documents.
+  // first '<'). The walk over full blocks is inline — most runs end in
+  // their first or second block; only the partial block at the buffer tail
+  // takes an out-of-line call.
   TextFacts ScanText(const char* base, size_t size, size_t from) const {
-    const size_t bs = from & ~(kScannerBlockBytes - 1);
-    if (size - bs >= kScannerBlockBytes) {
-      const BlockMasks& m = FullBlock(base, bs);
-      const uint64_t valid = ~0ull << (from - bs);
-      const uint64_t lt = m.lt & valid;
-      if (lt != 0) {
-        const unsigned bit = static_cast<unsigned>(__builtin_ctzll(lt));
-        TextFacts facts;
-        facts.first_lt = bs + bit - from;
-        const uint64_t keep =
-            valid &
-            (bit == 0 ? 0 : (~0ull >> (kScannerBlockBytes - bit)));
-        facts.has_amp = (m.amp & keep) != 0;
-        facts.has_rbracket = (m.rbracket & keep) != 0;
-        facts.has_ctl = (m.ctl & keep) != 0;
-        facts.all_ws = (m.ws & keep) == keep;
-        facts.newlines = 0;
-        facts.last_nl = std::string_view::npos;
-        const uint64_t nl = m.newline & keep;
-        if (nl != 0) {
-          facts.newlines = static_cast<uint32_t>(__builtin_popcountll(nl));
-          facts.last_nl =
-              bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
-        }
+    TextFacts facts{std::string_view::npos, false, false, false, true, 0,
+                    std::string_view::npos};
+    size_t bs = from & ~(kScannerBlockBytes - 1);
+    uint64_t valid = ~0ull << (from - bs);
+    for (; size - bs >= kScannerBlockBytes;
+         bs += kScannerBlockBytes, valid = ~0ull) {
+      if (AddTextBlock(FullBlock(base, size, bs), valid, bs, from, &facts)) {
         return facts;
       }
     }
-    return ScanTextGeneral(base, size, from);
+    if (bs < size) ScanTextTail(base, size, bs, valid, from, &facts);
+    return facts;
   }
 
   // Scans a start-tag body ([from, size), `from` addressing the byte AFTER
@@ -236,11 +243,12 @@ class StructuralScanner {
                   bool immediate_lt) const {
     const size_t bs = from & ~(kScannerBlockBytes - 1);
     if (size - bs >= kScannerBlockBytes) {
-      const BlockMasks& m = FullBlock(base, bs);
+      const BlockMasks& m = FullBlock(base, size, bs);
       const uint64_t valid = ~0ull << (from - bs);
       if ((m.squote & valid) == 0) {
         const uint64_t dq = m.dquote & valid;
-        const uint64_t inside = ScannerPrefixXor(dq);
+        // Most tags carry no attribute in their first block.
+        const uint64_t inside = dq != 0 ? ScannerPrefixXor(dq) : 0;
         const uint64_t gt_eff = m.gt & valid & ~inside;
         const uint64_t lt_eff = m.lt & valid & ~inside;
         if (gt_eff != 0) {
@@ -253,12 +261,12 @@ class StructuralScanner {
             const uint64_t below =
                 first_gt == 0 ? 0
                               : (~0ull >> (kScannerBlockBytes - first_gt));
-            scan.quoted_values = static_cast<uint64_t>(
-                __builtin_popcountll(dq & ~inside & below));
+            const uint64_t closing = dq & ~inside & below;
+            if (closing != 0) scan.quoted_values = ScannerPopcount(closing);
             const uint64_t nl = m.newline & valid & below;
             if (nl != 0) {
               scan.newlines =
-                  static_cast<uint32_t>(__builtin_popcountll(nl));
+                  static_cast<uint32_t>(ScannerPopcount(nl));
               scan.last_nl = bs + 63 -
                              static_cast<unsigned>(__builtin_clzll(nl)) -
                              from;
@@ -273,18 +281,19 @@ class StructuralScanner {
 
   // Offset (relative to `from`) of the next '>' at or after `from`, or npos
   // when the buffer ends first. Used for end tags, whose bodies cannot
-  // contain quoted values. Inline fast path: the '>' lands in the first
-  // block — end tags are short, so this is nearly every call.
+  // contain quoted values. Inline over full blocks, like ScanText.
   size_t NextGt(const char* base, size_t size, size_t from) const {
-    const size_t bs = from & ~(kScannerBlockBytes - 1);
-    if (size - bs >= kScannerBlockBytes) {
-      const BlockMasks& m = FullBlock(base, bs);
-      const uint64_t g = m.gt & (~0ull << (from - bs));
+    size_t bs = from & ~(kScannerBlockBytes - 1);
+    uint64_t valid = ~0ull << (from - bs);
+    for (; size - bs >= kScannerBlockBytes;
+         bs += kScannerBlockBytes, valid = ~0ull) {
+      const uint64_t g = FullBlock(base, size, bs).gt & valid;
       if (g != 0) {
         return bs + static_cast<unsigned>(__builtin_ctzll(g)) - from;
       }
     }
-    return NextGtGeneral(base, size, from);
+    if (bs >= size) return std::string_view::npos;
+    return NextGtTail(base, size, bs, valid, from);
   }
 
   // One-pass validation facts for the attribute value [from, from + len).
@@ -294,7 +303,7 @@ class StructuralScanner {
     const size_t bs = from & ~(kScannerBlockBytes - 1);
     if (from + len <= bs + kScannerBlockBytes &&
         size - bs >= kScannerBlockBytes) {
-      const BlockMasks& m = FullBlock(base, bs);
+      const BlockMasks& m = FullBlock(base, size, bs);
       const unsigned lo = static_cast<unsigned>(from - bs);
       const uint64_t keep =
           len == 0 ? 0 : ((~0ull >> (kScannerBlockBytes - len)) << lo);
@@ -304,13 +313,13 @@ class StructuralScanner {
     return ScanValueGeneral(base, size, from, len);
   }
 
-  // One-pass facts for the CDATA body [from, from + len).
-  CDataFacts ScanCData(const char* base, size_t size, size_t from,
-                       size_t len) const;
+  // One-pass facts for a CDATA body. Classifies `span` directly (it need
+  // not lie in the owner's buffer), bypassing the array.
+  CDataFacts ScanCData(std::string_view span) const;
 
   // Raw kernel access for consumers that keep their own block-local mask
   // window: the skip scanner walks strictly forward over one span, so a
-  // single register-resident block beats the shared cache. Both count
+  // single register-resident block beats the mask array. Both count
   // classified bytes like the drivers do.
   void ClassifyFullBlock(const char* p, BlockMasks* out) const {
     classify_(p, out);
@@ -330,45 +339,83 @@ class StructuralScanner {
   }
 
  private:
-  static constexpr size_t kCacheSlots = 4;  // power of two
-  struct CacheSlot {
-    const char* base = nullptr;
-    size_t block = 0;
-    bool valid = false;
-    BlockMasks masks;
-  };
+  // Blocks classified per fill: 4 KiB of input, whose 4.5 KiB of masks
+  // stay cache-resident until the scans that follow read them.
+  static constexpr size_t kFillAheadBlocks = 64;
+  // Ring size of the mask array (power of two): 16 KiB of input behind the
+  // scan position stay classified, which covers every scan that looks
+  // back (attribute values within a tag) short of a pathological tag.
+  static constexpr size_t kWindowBlocks = 256;
 
   // Masks for the 64-byte-aligned block at `block_start` (< size). Full
-  // blocks come from / go into the cache; the partial block at the buffer
-  // tail is classified into *scratch every time.
+  // blocks come from the array; the partial block at the buffer tail is
+  // classified into *scratch every time.
   const BlockMasks& Block(const char* base, size_t size, size_t block_start,
-                          BlockMasks* scratch) const;
-
-  // Cache probe for a block known to be full (block_start + 64 <= size) —
-  // the hot case, inlined into the ScanTag fast path.
-  const BlockMasks& FullBlock(const char* base, size_t block_start) const {
-    CacheSlot& slot = cache_[(block_start >> 6) & (kCacheSlots - 1)];
-    if (!(slot.valid && slot.base == base && slot.block == block_start)) {
-      classify_(base + block_start, &slot.masks);
-      bytes_classified_ += kScannerBlockBytes;
-      slot.base = base;
-      slot.block = block_start;
-      slot.valid = true;
+                          BlockMasks* scratch) const {
+    if (size - block_start >= kScannerBlockBytes) {
+      return FullBlock(base, size, block_start);
     }
-    return slot.masks;
+    ClassifyTail(base + block_start, size - block_start, scratch);
+    return *scratch;
   }
 
-  // General walks behind the inline fast paths.
-  TextFacts ScanTextGeneral(const char* base, size_t size, size_t from) const;
+  // Array read for a block known to be full (block_start + 64 <= size) —
+  // the hot case, inlined into every fast path.
+  const BlockMasks& FullBlock(const char* base, size_t size,
+                              size_t block_start) const {
+    const size_t block = block_start / kScannerBlockBytes + origin_;
+    if (block - lo_ >= hi_ - lo_) Fill(base, size, block);
+    return window_[block & (kWindowBlocks - 1)];
+  }
+  // Classifies from `block` (or from the end of the classified range, when
+  // `block` extends it) up to kFillAheadBlocks ahead, within the full
+  // blocks of [0, size). `block` counts from the grid origin.
+  void Fill(const char* base, size_t size, size_t block) const;
+
+  // Folds one block's masks, restricted to `valid`, into the facts of a
+  // text run starting at `from`; true once the run's '<' is found.
+  static bool AddTextBlock(const BlockMasks& m, uint64_t valid, size_t bs,
+                           size_t from, TextFacts* facts) {
+    const uint64_t lt = m.lt & valid;
+    uint64_t keep = valid;
+    if (lt != 0) {
+      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(lt));
+      facts->first_lt = bs + bit - from;
+      keep = valid & ((1ull << bit) - 1);
+    }
+    facts->has_amp |= (m.amp & keep) != 0;
+    facts->has_rbracket |= (m.rbracket & keep) != 0;
+    facts->has_ctl |= (m.ctl & keep) != 0;
+    facts->all_ws = facts->all_ws && (m.ws & keep) == keep;
+    const uint64_t nl = m.newline & keep;
+    if (nl != 0) {
+      facts->newlines += ScannerPopcount(nl);
+      facts->last_nl =
+          bs + 63 - static_cast<unsigned>(__builtin_clzll(nl)) - from;
+    }
+    return lt != 0;
+  }
+
+  // The partial tail block [bs, size) of the walks above.
+  void ScanTextTail(const char* base, size_t size, size_t bs, uint64_t valid,
+                    size_t from, TextFacts* facts) const;
+  size_t NextGtTail(const char* base, size_t size, size_t bs, uint64_t valid,
+                    size_t from) const;
+  // General walk behind the inline ScanTag fast path.
   TagScan ScanTagGeneral(const char* base, size_t size, size_t from,
                          bool immediate_lt) const;
-  size_t NextGtGeneral(const char* base, size_t size, size_t from) const;
   ValueFacts ScanValueGeneral(const char* base, size_t size, size_t from,
                               size_t len) const;
 
   ClassifyBlockFn classify_;
   ScannerBackend backend_;
-  mutable CacheSlot cache_[kCacheSlots];
+  // The ring: block k (counted from the grid origin, i.e. including blocks
+  // the owner has since dropped) lives at window_[k % kWindowBlocks], and
+  // blocks [lo_, hi_) are valid. Buffer block j is block j + origin_.
+  mutable std::unique_ptr<BlockMasks[]> window_;
+  mutable size_t origin_ = 0;
+  mutable size_t lo_ = 0;
+  mutable size_t hi_ = 0;
   mutable uint64_t bytes_classified_ = 0;
 };
 
