@@ -80,8 +80,8 @@ BENCHMARK(BM_ParseChunked)->Arg(4096)->Arg(65536);
 
 // Raw skip-scan throughput ceiling: every subtree below the root is
 // declared irrelevant, so the whole document body runs through the
-// SkipScanner's memchr race instead of the full tokenizer. The gap to
-// BM_ParseOneShot is the per-byte work projection removes.
+// SkipScanner's block-at-a-time count instead of the full tokenizer. The
+// gap to BM_ParseOneShot is the per-byte work projection removes.
 void BM_ParseSkipAll(benchmark::State& state) {
   const std::string& doc = Document();
   class SkipBelowRoot : public xaos::xml::ProjectionFilter {

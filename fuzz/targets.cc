@@ -208,6 +208,137 @@ int RunDifferentialInput(const uint8_t* data, size_t size) {
   return 0;
 }
 
+// Feeds `document` through a chunk schedule that splits tags, quoted
+// values and references, then finishes.
+Status ParseChunked(std::string_view document, xml::ContentHandler* handler,
+                    const xml::ParserOptions& options) {
+  static constexpr size_t kSchedule[] = {1, 3, 7, 2, 16, 64, 5};
+  xml::SaxParser parser(handler, options);
+  std::string_view rest(document);
+  Status status;
+  for (size_t step = document.size(); !rest.empty() && status.ok(); ++step) {
+    size_t n = kSchedule[step % (sizeof(kSchedule) / sizeof(kSchedule[0]))];
+    if (n > rest.size()) n = rest.size();
+    status = parser.Feed(rest.substr(0, n));
+    rest.remove_prefix(n);
+  }
+  return status.ok() ? parser.Finish() : status;
+}
+
+// Skips every element below the document element.
+class SkipBelowRoot : public xml::ProjectionFilter {
+ public:
+  bool ShouldSkipSubtree(std::string_view, size_t open_depth) override {
+    return open_depth >= 1;
+  }
+};
+
+class SkipRecorder : public xml::ContentHandler {
+ public:
+  void SkippedSubtree(const xml::SkipReport& report) override {
+    reports.push_back(report);
+  }
+  std::vector<xml::SkipReport> reports;
+};
+
+// Per child of the document element: the elements, attributes and
+// reported text runs an unprojected parse delivers inside it.
+class SubtreeCounter : public xml::ContentHandler {
+ public:
+  void StartElement(const xml::QName&,
+                    xml::AttributeSpan attributes) override {
+    if (++depth_ == 2) counts.emplace_back();
+    if (depth_ >= 2) {
+      counts.back().elements += 1;
+      counts.back().node_ids += 1 + attributes.size();
+    }
+  }
+  void EndElement(std::string_view) override { --depth_; }
+  void Characters(std::string_view) override {
+    if (depth_ >= 2) counts.back().node_ids += 1;
+  }
+  std::vector<xml::SkipReport> counts;
+
+ private:
+  int depth_ = 0;
+};
+
+// Byte spans of the document element's children, from a plain walk over a
+// document the full parser accepted: comments, CDATA sections and PIs end
+// at their fixed terminators, tags at the first '>' outside quotes.
+// Returns false on a DOCTYPE, whose internal subset the walk skips.
+bool ChildSpans(std::string_view doc, std::vector<uint64_t>* spans) {
+  int depth = 0;
+  size_t child_start = 0;
+  for (size_t i = doc.find('<'); i != std::string_view::npos;
+       i = doc.find('<', i)) {
+    const std::string_view rest = doc.substr(i);
+    size_t last;  // the construct's final byte
+    if (rest.starts_with("<!--")) {
+      last = i + rest.find("-->") + 2;
+    } else if (rest.starts_with("<![CDATA[")) {
+      last = i + rest.find("]]>") + 2;
+    } else if (rest.starts_with("<?")) {
+      last = i + rest.find("?>") + 1;
+    } else if (rest.starts_with("<!")) {
+      return false;
+    } else if (rest.starts_with("</")) {
+      last = doc.find('>', i);
+      if (--depth == 1) spans->push_back(last + 1 - child_start);
+    } else {
+      char quote = 0;
+      for (last = i + 1; quote != 0 || doc[last] != '>'; ++last) {
+        if (doc[last] == quote) {
+          quote = 0;
+        } else if (quote == 0 && (doc[last] == '"' || doc[last] == '\'')) {
+          quote = doc[last];
+        }
+      }
+      if (++depth == 2) child_start = i;
+      if (doc[last - 1] == '/' && --depth == 1) {
+        spans->push_back(last + 1 - child_start);
+      }
+    }
+    i = last + 1;
+  }
+  return true;
+}
+
+// Skip-scanner oracle mode: skip every element below the document element.
+// Whenever the unprojected parse succeeds, the projected parse must too,
+// one-shot and chunked, and each SkipReport must equal that parse's counts
+// for the child it covers, with the child's byte span from ChildSpans.
+void CheckSkipBelowRoot(std::string_view document) {
+  for (bool whitespace : {false, true}) {
+    xml::ParserOptions options = FuzzParserOptions();
+    options.report_whitespace_text = whitespace;
+    SubtreeCounter oracle;
+    if (!xml::ParseString(document, &oracle, options).ok()) return;
+    std::vector<uint64_t> spans;
+    const bool have_spans = ChildSpans(document, &spans);
+    if (have_spans && spans.size() != oracle.counts.size()) __builtin_trap();
+    SkipBelowRoot filter;
+    options.projection_filter = &filter;
+    for (int chunked = 0; chunked < 2; ++chunked) {
+      SkipRecorder got;
+      const Status status = chunked == 0
+                                ? xml::ParseString(document, &got, options)
+                                : ParseChunked(document, &got, options);
+      if (!status.ok() || got.reports.size() != oracle.counts.size()) {
+        __builtin_trap();
+      }
+      for (size_t k = 0; k < got.reports.size(); ++k) {
+        const xml::SkipReport& report = got.reports[k];
+        if (report.elements != oracle.counts[k].elements ||
+            report.node_ids != oracle.counts[k].node_ids ||
+            (have_spans && report.bytes != spans[k])) {
+          __builtin_trap();
+        }
+      }
+    }
+  }
+}
+
 int RunProjectionDifferentialInput(const uint8_t* data, size_t size) {
   if (size > (1u << 14)) return 0;
   std::string_view input(reinterpret_cast<const char*>(data), size);
@@ -215,6 +346,7 @@ int RunProjectionDifferentialInput(const uint8_t* data, size_t size) {
   if (newline == std::string_view::npos) return 0;
   std::string expression(input.substr(0, newline));
   std::string document(input.substr(newline + 1));
+  CheckSkipBelowRoot(document);
 
   StatusOr<core::Query> query = core::Query::Compile(expression,
                                                      /*max_paths=*/4);
@@ -235,22 +367,9 @@ int RunProjectionDifferentialInput(const uint8_t* data, size_t size) {
     core::StreamingEvaluator evaluator(*query);
     xml::ParserOptions projected = options;
     projected.projection_filter = evaluator.projection_filter();
-    Status status;
-    if (chunked == 0) {
-      status = xml::ParseString(document, &evaluator, projected);
-    } else {
-      xml::SaxParser parser(&evaluator, projected);
-      std::string_view rest(document);
-      static constexpr size_t kSchedule[] = {1, 3, 7, 2, 16, 64, 5};
-      for (size_t step = size; !rest.empty() && status.ok(); ++step) {
-        size_t n =
-            kSchedule[step % (sizeof(kSchedule) / sizeof(kSchedule[0]))];
-        if (n > rest.size()) n = rest.size();
-        status = parser.Feed(rest.substr(0, n));
-        rest.remove_prefix(n);
-      }
-      if (status.ok()) status = parser.Finish();
-    }
+    const Status status =
+        chunked == 0 ? xml::ParseString(document, &evaluator, projected)
+                     : ParseChunked(document, &evaluator, projected);
     if (!status.ok() || !evaluator.status().ok()) __builtin_trap();
     core::QueryResult result = evaluator.Result();
     if (result.matched != baseline_result.matched) __builtin_trap();
@@ -286,13 +405,8 @@ int RunScannerDiffInput(const uint8_t* data, size_t size) {
       if (kernel == nullptr || kernel == scalar) continue;
       xml::BlockMasks got;
       kernel(staged, &got);
-      if (got.lt != want.lt || got.gt != want.gt ||
-          got.dquote != want.dquote || got.squote != want.squote ||
-          got.amp != want.amp || got.rbracket != want.rbracket ||
-          got.newline != want.newline || got.ws != want.ws ||
-          got.ctl != want.ctl) {
-        __builtin_trap();
-      }
+      // Defaulted operator==: all eleven masks, '/' and '!'/'?' included.
+      if (got != want) __builtin_trap();
     }
   }
 

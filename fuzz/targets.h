@@ -38,7 +38,10 @@ int RunDifferentialInput(const uint8_t* data, size_t size);
 // query's projection filter installed — one-shot and through an adversarial
 // chunk schedule — must succeed with the identical verdict and items.
 // (Projection may accept documents the baseline rejects, never the
-// converse; see xml/skip_scanner.h.)
+// converse; see xml/skip_scanner.h.) The document also runs with every
+// element below its root skipped: each SkipReport must equal the counts of
+// the unprojected parse, bytes included, with whitespace runs reported and
+// not.
 int RunProjectionDifferentialInput(const uint8_t* data, size_t size);
 
 // Structural-scanner differential. Treats `data` as an XML document and

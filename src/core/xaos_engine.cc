@@ -873,12 +873,14 @@ void XaosEngine::EmitEarly(MatchingStructure* m) {
   }
   OutputItem item;
   item.info = m->element();
-  auto it = captured_.find(m->element().id);
-  if (it != captured_.end()) {
-    // Move the capture buffer out — its heap storage is freed with the
-    // item instead of lingering until end of document.
-    item.captured_xml = std::move(it->second);
-    captured_.erase(it);
+  if (options_.capture_output_subtrees) {
+    auto it = captured_.find(m->element().id);
+    if (it != captured_.end()) {
+      // Move the capture buffer out — its heap storage is freed with the
+      // item instead of lingering until end of document.
+      item.captured_xml = std::move(it->second);
+      captured_.erase(it);
+    }
   }
   ++stats_.candidates_emitted_early;
   if (options_.early_item_sink) options_.early_item_sink(item);
@@ -912,24 +914,28 @@ void XaosEngine::MaybeReclaim(MatchingStructure* m) {
   m->ReleaseStorage(&arena_, &detached);
   // Detach from parents. Lock every parent first: removing `m` from a slot
   // can drop the last strong reference and destroy it mid-loop, so after
-  // the first removal only the raw pointer *value* may be used.
-  std::vector<std::pair<MatchingPtr, int>> parents;
-  parents.reserve(detached.size());
+  // the first removal only the raw pointer *value* may be used. The locked
+  // parents go into this call's segment [base, end) of the shared scratch
+  // stack; the recursive calls below append above `end` and truncate back,
+  // and entries are read by index because an append may reallocate.
+  const size_t base = reclaim_scratch_.size();
   for (const MatchingStructure::BackRef& ref : detached) {
     MatchingPtr parent = ref.parent.lock();
     if (parent == nullptr || parent->dead()) continue;
-    parents.emplace_back(std::move(parent), ref.slot);
+    reclaim_scratch_.emplace_back(std::move(parent), ref.slot);
   }
+  const size_t end = reclaim_scratch_.size();
   const MatchingStructure* raw = m;
-  for (auto& [parent, slot] : parents) {
+  for (size_t i = base; i < end; ++i) {
     // Anchored => every confirmed count >= 1, so the slot stays satisfied
     // and no undo can trigger; this is pure storage release.
-    parent->RemoveFromSlot(slot, raw);
+    reclaim_scratch_[i].first->RemoveFromSlot(reclaim_scratch_[i].second, raw);
   }
-  for (auto& [parent, slot] : parents) {
-    (void)slot;
-    if (parent->anchored()) MaybeReclaim(parent.get());
+  for (size_t i = base; i < end; ++i) {
+    MatchingStructure* parent = reclaim_scratch_[i].first.get();
+    if (parent->anchored()) MaybeReclaim(parent);
   }
+  reclaim_scratch_.resize(base);
 }
 
 void XaosEngine::StartDocument() {
@@ -1100,8 +1106,10 @@ void XaosEngine::BuildResult(const MatchingPtr& root_structure) {
       if (!m->output_twin() || emitted_ids_.insert(m->element().id).second) {
         OutputItem item;
         item.info = m->element();
-        auto it = captured_.find(m->element().id);
-        if (it != captured_.end()) item.captured_xml = it->second;
+        if (options_.capture_output_subtrees) {
+          auto it = captured_.find(m->element().id);
+          if (it != captured_.end()) item.captured_xml = it->second;
+        }
         result_.items.push_back(std::move(item));
       }
     }

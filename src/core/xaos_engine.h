@@ -37,6 +37,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/document_cursor.h"
@@ -448,6 +449,9 @@ class XaosEngine : public xml::ContentHandler {
   // Strong references Anchor collects before recursing; each call owns the
   // segment it appended and truncates back to its base.
   std::vector<MatchingPtr> anchor_scratch_;
+  // The same discipline for the parents MaybeReclaim detaches from (each
+  // with the slot that held the reclaimed structure).
+  std::vector<std::pair<MatchingPtr, int>> reclaim_scratch_;
   // BuildResult's traversal work list.
   std::vector<MatchingStructure*> traversal_scratch_;
 };

@@ -19,6 +19,7 @@ CpuFeatures Detect() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
     features.sse2 = (edx & (1u << 26)) != 0;
+    features.popcnt = (ecx & (1u << 23)) != 0;
     const bool osxsave = (ecx & (1u << 27)) != 0;
     const bool avx_bit = (ecx & (1u << 28)) != 0;
     bool ymm_enabled = false;

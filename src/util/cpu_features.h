@@ -17,6 +17,8 @@ struct CpuFeatures {
   bool sse2 = false;
   bool avx = false;   // AVX usable: cpuid bit + OS ymm-state support
   bool avx2 = false;  // implies `avx`
+  bool popcnt = false;  // the POPCNT instruction (not a SIMD level: left
+                        // out of CpuFeatureSummary)
   unsigned hardware_concurrency = 0;
 };
 

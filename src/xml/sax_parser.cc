@@ -203,7 +203,6 @@ SaxParser::SaxParser(ContentHandler* handler, ParserOptions options)
   if (options_.scanner_backend.has_value()) {
     scanner_.SetBackend(*options_.scanner_backend);
   }
-  skip_scanner_.SetScannerBackend(scanner_.backend());
   if (options_.phase_timers != nullptr) {
     timing_wrapper_ =
         std::make_unique<MatchTimingHandler>(handler, options_.phase_timers);
@@ -524,8 +523,7 @@ Status SaxParser::Finish() {
     registry.GetCounter("xaos_parser_text_events_total")
         ->Increment(text_event_count_);
     registry.GetCounter("xaos_scanner_bytes_classified_total")
-        ->Increment(scanner_.TakeBytesClassified() +
-                    skip_scanner_.TakeScannerBytes());
+        ->Increment(scanner_.TakeBytesClassified());
     registry
         .GetGauge(std::string("xaos_scanner_backend{backend=\"") +
                   ScannerBackendName(scanner_.backend()) + "\"}")
@@ -636,9 +634,9 @@ SaxParser::Progress SaxParser::Pump(Emit& emit) {
 
 template <typename Emit>
 SaxParser::Progress SaxParser::PumpSkip(Emit& emit) {
-  std::string_view rest(buffer_.data() + pos_, buffer_.size() - pos_);
   size_t consumed = 0;
-  SkipScanner::State state = skip_scanner_.Scan(rest, &consumed);
+  SkipScanner::State state =
+      skip_scanner_.Scan(scanner_, buffer_, pos_, &consumed);
   // Consume before reporting an error so line/column point at the
   // offending construct, as they do in normal parse mode.
   if (consumed > 0) Consume(consumed);

@@ -89,7 +89,7 @@ struct ParserOptions {
   // assignment would become chunk-dependent) or reported comments/PIs
   // (their events would be lost inside skips). Must outlive the parser.
   ProjectionFilter* projection_filter = nullptr;
-  // Structural-scanner kernel for this parser (and its skip scanner). Unset
+  // Structural-scanner kernel for this parser (skips included). Unset
   // (the default) uses the process-wide DefaultScannerBackend(), i.e. the
   // XAOS_SCANNER override or the best the CPU supports. Every backend
   // produces byte-identical events and error positions; this exists for
@@ -311,8 +311,7 @@ class SaxParser {
   std::deque<std::string> attr_decode_slots_;
 
   // Vectorized structural front-end for every hot loop below, holding the
-  // mask array for buffer_; the skip scanner owns a sibling instance pinned
-  // to the same backend.
+  // mask array for buffer_ that the skip scanner reads too.
   StructuralScanner scanner_;
 
   // Element and attribute names repeat heavily, within a document and

@@ -2,12 +2,22 @@
 //
 // When a ProjectionFilter proves a start tag's entire subtree irrelevant to
 // every installed query, the SaxParser switches to the SkipScanner: a raw
-// scanner that memchr-races to the matching end tag tracking only element
-// depth, comment/CDATA/PI state, and the structure needed to resume normal
-// parsing afterwards. It performs no attribute parsing, no entity decoding,
-// no symbol interning, and emits no events — only a SkipReport whose
+// scanner that races to the matching end tag tracking only element depth,
+// comment/CDATA/PI state, and the structure needed to resume normal parsing
+// afterwards. It performs no attribute parsing, no entity decoding, no
+// symbol interning, and emits no events — only a SkipReport whose
 // `node_ids` count lets dense-id consumers (core::DocumentCursor) stay
 // byte-identical to a full parse.
+//
+// The scan reads the parser's structural masks (xml/structural_scanner.h)
+// and advances one 64-byte block per step by mask arithmetic alone: tag
+// regions from a prefix-xor of '<'|'>', attribute values from in-tag
+// double-quote parity, tag kinds from the '/' mask, text runs from one
+// carry-chain add. A block whose structure that arithmetic cannot settle —
+// a comment, CDATA section or PI, a single-quoted value, a '>' in text or
+// in a value, a stray '<', an undecided '&', the skip's end or the depth
+// limit — goes through the per-construct walk instead, so every count,
+// error and offset is the walk's.
 //
 // Divergence contract: the scanner checks only the structure it must (tag
 // nesting, terminated constructs, the depth limit), so a document that the
@@ -26,6 +36,10 @@
 
 #include "xml/sax_event.h"
 #include "xml/structural_scanner.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define XAOS_SKIP_SCANNER_POPCNT 1
+#endif
 
 namespace xaos::xml {
 
@@ -63,10 +77,13 @@ class SkipScanner {
   void Begin(const SkipReport& initial, size_t base_open_depth, int max_depth,
              bool count_whitespace_runs);
 
-  // Scans as much of `input` as possible. Sets *consumed to the byte count
-  // the caller should consume (on kError: the offset of the offending
+  // Scans the skipped bytes buffer[from, size) as far as possible.
+  // `scanner` holds the structural masks of `buffer` (its block grid is
+  // anchored at buffer.data()). Sets *consumed to the byte count from
+  // `from` the caller should consume (on kError: up to the offending
   // construct, so the parser's line/column land on it).
-  State Scan(std::string_view input, size_t* consumed);
+  State Scan(const StructuralScanner& scanner, std::string_view buffer,
+             size_t from, size_t* consumed);
 
   const SkipReport& report() const { return report_; }
 
@@ -75,22 +92,26 @@ class SkipScanner {
   bool limit_error() const { return limit_error_; }
   const std::string& error_message() const { return error_message_; }
 
-  // Number of quoted attribute values in a start-tag body. On any tag the
-  // full parser accepts, every quote character delimits an attribute value,
-  // so pairing quotes counts attributes exactly.
-  static uint64_t CountQuotedValues(std::string_view tag_body);
-
-  // Pins the structural-scanner backend (the parser forwards its own choice
-  // so skipped and parsed regions classify identically).
-  void SetScannerBackend(ScannerBackend backend) {
-    scanner_.SetBackend(backend);
-  }
-
-  // Bytes this scanner's structural kernel classified since the last call;
-  // the parser folds them into xaos_scanner_bytes_classified_total.
-  uint64_t TakeScannerBytes() { return scanner_.TakeBytesClassified(); }
-
  private:
+  // Block path: takes whole blocks from the one holding `at` while their
+  // masks settle every construct in them, committing counts at each block
+  // end. Returns the committed position — a construct boundary the
+  // per-construct walk resumes from — and sets *stop to the end of the
+  // first block it did not take. `*text_from` tracks where the text run
+  // ending at the committed position began within this Scan call.
+  size_t ScanBlocks(const StructuralScanner& scanner, const char* base,
+                    size_t size, size_t at, size_t* text_from, size_t* stop);
+  // The block path's body; `kPopcnt` selects the POPCNT instruction for
+  // its counts. ScanBlocks runs the POPCNT build under the AVX2 kernel.
+  template <bool kPopcnt>
+  size_t ScanBlocksWith(const StructuralScanner& scanner, const char* base,
+                        size_t size, size_t at, size_t* text_from,
+                        size_t* stop);
+#if defined(XAOS_SKIP_SCANNER_POPCNT)
+  __attribute__((target("popcnt"))) size_t ScanBlocksPopcnt(
+      const StructuralScanner& scanner, const char* base, size_t size,
+      size_t at, size_t* text_from, size_t* stop);
+#endif
   State Error(std::string message, size_t at, size_t* consumed);
   State LimitError(std::string message, size_t at, size_t* consumed);
   // Hot per-run/per-tag paths, inlined: the byte-level classification only
@@ -114,13 +135,8 @@ class SkipScanner {
     run_non_ws_ = false;
   }
   void ClassifyText(std::string_view run);
-  void ProcessCData(std::string_view content);
-
-  // Structural front-end for the fused start-tag scan and CDATA
-  // classification. Text runs keep the memchr + early-out ClassifyText
-  // walk: the walk stops at the first decisive byte, which full-block
-  // classification cannot beat.
-  StructuralScanner scanner_;
+  void ProcessCData(const StructuralScanner& scanner,
+                    std::string_view content);
 
   SkipReport report_;
   size_t base_open_depth_ = 0;

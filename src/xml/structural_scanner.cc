@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 #include "util/cpu_features.h"
@@ -21,7 +22,7 @@ constexpr size_t kBlock = kScannerBlockBytes;
 
 // ---------------------------------------------------------------------------
 // Scalar kernel: the oracle. One class-bit table lookup per byte, scattered
-// into the nine masks. Deliberately simple — every other kernel must match
+// into the eleven masks. Deliberately simple — every other kernel must match
 // its output bit-for-bit on every possible byte.
 
 enum : uint16_t {
@@ -34,6 +35,8 @@ enum : uint16_t {
   kClassNl = 1u << 6,
   kClassWs = 1u << 7,
   kClassCtl = 1u << 8,
+  kClassSlash = 1u << 9,
+  kClassBang = 1u << 10,
 };
 
 constexpr uint16_t ClassOf(unsigned char c) {
@@ -47,6 +50,8 @@ constexpr uint16_t ClassOf(unsigned char c) {
   if (c == '\n') cls |= kClassNl;
   if (c == ' ' || c == '\t' || c == '\r' || c == '\n') cls |= kClassWs;
   if (c < 0x20 && c != 0x09 && c != 0x0A && c != 0x0D) cls |= kClassCtl;
+  if (c == '/') cls |= kClassSlash;
+  if (c == '!' || c == '?') cls |= kClassBang;
   return cls;
 }
 
@@ -70,7 +75,7 @@ void ClassifyScalar(const char* p, BlockMasks* out) {
     const uint64_t cls =
         kClassTable.entries[static_cast<unsigned char>(p[i])];
     // Most bytes (name and text characters) are class 0 — one predictable
-    // branch skips them. Classed bytes update all nine masks branchlessly:
+    // branch skips them. Classed bytes update all masks branchlessly:
     // a chain of data-dependent `if`s here mispredicts on every structural
     // byte, which the other kernels never pay.
     if (cls == 0) continue;
@@ -84,6 +89,8 @@ void ClassifyScalar(const char* p, BlockMasks* out) {
     m.newline |= bit * ((cls >> 6) & 1);
     m.ws |= bit * ((cls >> 7) & 1);
     m.ctl |= bit * ((cls >> 8) & 1);
+    m.slash |= bit * ((cls >> 9) & 1);
+    m.bang |= bit * ((cls >> 10) & 1);
   }
   *out = m;
 }
@@ -151,6 +158,8 @@ void ClassifySwar(const char* p, BlockMasks* out) {
     m.newline |= CollapseHighBits(nl) << shift;
     m.ws |= CollapseHighBits(tab | nl | cr | sp) << shift;
     m.ctl |= CollapseHighBits(Below20(w) & ~(tab | nl | cr)) << shift;
+    m.slash |= CollapseHighBits(EqByte(w, '/')) << shift;
+    m.bang |= CollapseHighBits(EqByte(w, '!') | EqByte(w, '?')) << shift;
   }
   *out = m;
 }
@@ -189,45 +198,106 @@ void ClassifySse2(const char* p, BlockMasks* out) {
     m.newline |= nl << shift;
     m.ws |= (tab | nl | cr | sp) << shift;
     m.ctl |= (below20 & ~(tab | nl | cr)) << shift;
+    m.slash |= mask_eq('/') << shift;
+    m.bang |= (mask_eq('!') | mask_eq('?')) << shift;
   }
   *out = m;
 }
 
-// AVX2 kernel: 2 x 32-byte compares. Compiled with a function-level target
+// AVX2 kernel: 2 x 32-byte compares, plus pshufb lookups for the two
+// classes of several characters. Compiled with a function-level target
 // attribute so the translation unit (and the rest of the binary) does not
 // need -mavx2; entry is gated by the cpuid/xgetbv check in
 // util/cpu_features.cc.
 
+// Each byte value the kernel compares against, splatted across 32 bytes.
+// Compares read them from memory: materializing a splat in registers
+// costs two shuffle-port uops per constant per call.
+struct alignas(32) Splat32 {
+  char bytes[32];
+};
+
+constexpr Splat32 MakeSplat32(char c) {
+  Splat32 s{};
+  for (char& b : s.bytes) b = c;
+  return s;
+}
+
+// A byte compares equal to its pshufb lookup in one of these tables iff it
+// is one of the table's characters: each sits at the index of its low
+// nibble (all distinct), every other entry has a different low nibble,
+// and pshufb maps bytes >= 0x80 to 0, which none of them equals.
+constexpr Splat32 MakeNibbleTable(std::initializer_list<char> chars) {
+  Splat32 t{};
+  for (int i = 0; i < 16; ++i) {
+    t.bytes[i] = static_cast<char>(0xF0 | ((i + 1) & 0xF));
+  }
+  for (char c : chars) t.bytes[c & 0xF] = c;
+  for (int i = 0; i < 16; ++i) t.bytes[16 + i] = t.bytes[i];  // both lanes
+  return t;
+}
+
+struct Avx2Constants {
+  Splat32 lt = MakeSplat32('<'), gt = MakeSplat32('>'),
+          dquote = MakeSplat32('"'), squote = MakeSplat32('\''),
+          amp = MakeSplat32('&'), rbracket = MakeSplat32(']'),
+          nl = MakeSplat32('\n'), below20 = MakeSplat32(0x1F),
+          slash = MakeSplat32('/'),
+          ws = MakeNibbleTable({' ', '\t', '\n', '\r'}),
+          bang = MakeNibbleTable({'!', '?'});
+};
+
+constexpr Avx2Constants kAvx2Table{};
+
 // gcc does not propagate the enclosing function's target attribute into
-// lambdas, so the per-class compare is a free helper function.
-__attribute__((target("avx2"))) inline uint64_t MaskEq256(__m256i v, char c) {
-  return static_cast<uint64_t>(static_cast<unsigned>(
-      _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, _mm256_set1_epi8(c)))));
+// lambdas, so the movemask and the per-class compare are free helpers.
+__attribute__((target("avx2"))) inline __m256i Load256(const Splat32& s) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(s.bytes));
+}
+
+__attribute__((target("avx2"))) inline __m256i Eq256(__m256i v,
+                                                     const Splat32& s) {
+  return _mm256_cmpeq_epi8(v, Load256(s));
+}
+
+__attribute__((target("avx2"))) inline __m256i InTable256(
+    __m256i v, const Splat32& table) {
+  return _mm256_cmpeq_epi8(v, _mm256_shuffle_epi8(Load256(table), v));
+}
+
+__attribute__((target("avx2"))) inline uint64_t Movemask256(__m256i v) {
+  return static_cast<uint64_t>(static_cast<unsigned>(_mm256_movemask_epi8(v)));
 }
 
 __attribute__((target("avx2"))) void ClassifyAvx2(const char* p,
                                                   BlockMasks* out) {
+  // Opaque to the optimizer, so compares take the splats as memory
+  // operands instead of rebuilding each one in a register.
+  const Avx2Constants* table = &kAvx2Table;
+  __asm__("" : "+r"(table));
+  const Avx2Constants& splat = *table;
   BlockMasks m{};
   for (size_t k = 0; k < kBlock / 32; ++k) {
     const __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32 * k));
     const unsigned shift = static_cast<unsigned>(32 * k);
-    const uint64_t tab = MaskEq256(v, '\t');
-    const uint64_t nl = MaskEq256(v, '\n');
-    const uint64_t cr = MaskEq256(v, '\r');
-    const uint64_t sp = MaskEq256(v, ' ');
-    const uint64_t below20 = static_cast<uint64_t>(
-        static_cast<unsigned>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(
-            _mm256_min_epu8(v, _mm256_set1_epi8(0x1F)), v))));
-    m.lt |= MaskEq256(v, '<') << shift;
-    m.gt |= MaskEq256(v, '>') << shift;
-    m.dquote |= MaskEq256(v, '"') << shift;
-    m.squote |= MaskEq256(v, '\'') << shift;
-    m.amp |= MaskEq256(v, '&') << shift;
-    m.rbracket |= MaskEq256(v, ']') << shift;
-    m.newline |= nl << shift;
-    m.ws |= (tab | nl | cr | sp) << shift;
-    m.ctl |= (below20 & ~(tab | nl | cr)) << shift;
+    const __m256i nl = Eq256(v, splat.nl);
+    const __m256i ws = InTable256(v, splat.ws);
+    // v < 0x20 unsigned: min(v, 0x1F) == v. Space is not below 0x20, so
+    // the control bytes are the ones below 0x20 that are not whitespace.
+    const __m256i below20 =
+        _mm256_cmpeq_epi8(_mm256_min_epu8(v, Load256(splat.below20)), v);
+    m.lt |= Movemask256(Eq256(v, splat.lt)) << shift;
+    m.gt |= Movemask256(Eq256(v, splat.gt)) << shift;
+    m.dquote |= Movemask256(Eq256(v, splat.dquote)) << shift;
+    m.squote |= Movemask256(Eq256(v, splat.squote)) << shift;
+    m.amp |= Movemask256(Eq256(v, splat.amp)) << shift;
+    m.rbracket |= Movemask256(Eq256(v, splat.rbracket)) << shift;
+    m.newline |= Movemask256(nl) << shift;
+    m.ws |= Movemask256(ws) << shift;
+    m.ctl |= Movemask256(_mm256_andnot_si256(ws, below20)) << shift;
+    m.slash |= Movemask256(Eq256(v, splat.slash)) << shift;
+    m.bang |= Movemask256(InTable256(v, splat.bang)) << shift;
   }
   *out = m;
 }
@@ -413,6 +483,8 @@ void StructuralScanner::ClassifyTail(const char* p, size_t len,
   out->newline &= keep;
   out->ws &= keep;
   out->ctl &= keep;
+  out->slash &= keep;
+  out->bang &= keep;
 }
 
 void StructuralScanner::ScanTextTail(const char* base, size_t size,
@@ -598,7 +670,8 @@ CDataFacts StructuralScanner::ScanCData(std::string_view span) const {
     const size_t len = span.size() - bs;
     uint64_t window = ~0ull;
     if (len >= kBlock) {
-      ClassifyFullBlock(span.data() + bs, &m);
+      classify_(span.data() + bs, &m);
+      bytes_classified_ += kBlock;
     } else {
       ClassifyTail(span.data() + bs, len, &m);
       window = ~0ull >> (kBlock - len);

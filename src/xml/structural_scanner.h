@@ -10,9 +10,10 @@
 // from ONE classification pass: input is processed in 64-byte blocks, each
 // block yielding a set of 64-bit masks — bit i of a mask says byte i of the
 // block belongs to that class ('<', '>', '"', '\'', '&', ']', newline,
-// whitespace, forbidden control). The masks are the index stream: consumers
-// jump from structural position to structural position with ctz/popcount
-// instead of inspecting every character.
+// whitespace, forbidden control, '/', '!' or '?'). The masks are the index
+// stream: consumers jump from structural position to structural position
+// with ctz/popcount instead of inspecting every character, and the skip
+// scanner counts whole blocks of a skipped subtree by mask arithmetic.
 //
 // Three interchangeable kernels produce the masks:
 //   * scalar — portable table-driven byte loop; the oracle the others are
@@ -70,6 +71,10 @@ struct BlockMasks {
   uint64_t newline;   // '\n'
   uint64_t ws;        // XML whitespace: space, tab, CR, LF
   uint64_t ctl;       // C0 control other than tab/LF/CR (forbidden in Char)
+  uint64_t slash;     // '/' (end tags, self-closing tags)
+  uint64_t bang;      // '!' or '?' (after '<': comment, CDATA, PI)
+
+  friend bool operator==(const BlockMasks&, const BlockMasks&) = default;
 };
 
 // Kernel signature: classify exactly kScannerBlockBytes bytes at `p`.
@@ -183,13 +188,12 @@ struct CDataFacts {
 // ends it, then that tag's attribute values) read each other's masks with
 // one indexed load. A full block is classified once: in runs of up to
 // kFillAheadBlocks, ahead of the first scan that needs it, so a range the
-// owner consumes without scanning (a projection skip) is never classified
-// at all. The partial block at the buffer tail is classified fresh each
-// time, since more bytes may arrive for it. Appending to the buffer leaves
-// the array valid (full blocks never change); an owner that erases a
-// prefix must erase a whole number of blocks and call DropBlocks() with
-// that number, which shifts the grid, or call ResetBlocks() for any other
-// mutation.
+// owner consumes without scanning is never classified at all. The partial
+// block at the buffer tail is classified fresh each time, since more bytes
+// may arrive for it. Appending to the buffer leaves the array valid (full
+// blocks never change); an owner that erases a prefix must erase a whole
+// number of blocks and call DropBlocks() with that number, which shifts
+// the grid, or call ResetBlocks() for any other mutation.
 //
 // All offsets in the returned fact structs are relative to `from`.
 class StructuralScanner {
@@ -317,18 +321,16 @@ class StructuralScanner {
   // not lie in the owner's buffer), bypassing the array.
   CDataFacts ScanCData(std::string_view span) const;
 
-  // Raw kernel access for consumers that keep their own block-local mask
-  // window: the skip scanner walks strictly forward over one span, so a
-  // single register-resident block beats the mask array. Both count
-  // classified bytes like the drivers do.
-  void ClassifyFullBlock(const char* p, BlockMasks* out) const {
-    classify_(p, out);
-    bytes_classified_ += kScannerBlockBytes;
+  // Masks of the full block (block_start + 64 <= size) at `block_start`
+  // of the owner's buffer, from the mask array — the hot case, inlined
+  // into every fast path. The skip scanner's block path reads skipped
+  // subtrees through it, so every byte the parser sees is classified once.
+  const BlockMasks& FullBlock(const char* base, size_t size,
+                              size_t block_start) const {
+    const size_t block = block_start / kScannerBlockBytes + origin_;
+    if (block - lo_ >= hi_ - lo_) Fill(base, size, block);
+    return window_[block & (kWindowBlocks - 1)];
   }
-  // Classifies the final `len` (< kScannerBlockBytes) bytes of a span by
-  // staging them through a zero-padded block and trimming every mask to
-  // length (zero padding classifies as control bytes).
-  void ClassifyTail(const char* p, size_t len, BlockMasks* out) const;
 
   // Bytes pushed through the classify kernel since the last Take. Folded
   // into xaos_scanner_bytes_classified_total by the parser at document end.
@@ -359,14 +361,11 @@ class StructuralScanner {
     return *scratch;
   }
 
-  // Array read for a block known to be full (block_start + 64 <= size) —
-  // the hot case, inlined into every fast path.
-  const BlockMasks& FullBlock(const char* base, size_t size,
-                              size_t block_start) const {
-    const size_t block = block_start / kScannerBlockBytes + origin_;
-    if (block - lo_ >= hi_ - lo_) Fill(base, size, block);
-    return window_[block & (kWindowBlocks - 1)];
-  }
+  // Classifies the final `len` (< kScannerBlockBytes) bytes of a span by
+  // staging them through a zero-padded block and trimming every mask to
+  // length (zero padding classifies as control bytes).
+  void ClassifyTail(const char* p, size_t len, BlockMasks* out) const;
+
   // Classifies from `block` (or from the end of the classified range, when
   // `block` extends it) up to kFillAheadBlocks ahead, within the full
   // blocks of [0, size). `block` counts from the grid origin.

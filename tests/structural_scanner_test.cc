@@ -30,11 +30,9 @@ std::vector<ScannerBackend> AvailableBackends() {
   return backends;
 }
 
-bool MasksEqual(const BlockMasks& a, const BlockMasks& b) {
-  return a.lt == b.lt && a.gt == b.gt && a.dquote == b.dquote &&
-         a.squote == b.squote && a.amp == b.amp && a.rbracket == b.rbracket &&
-         a.newline == b.newline && a.ws == b.ws && a.ctl == b.ctl;
-}
+// BlockMasks' operator== is defaulted: every mask is compared, the skip
+// scanner's '/' and '!'/'?' masks included.
+bool MasksEqual(const BlockMasks& a, const BlockMasks& b) { return a == b; }
 
 // Every kernel must match the scalar kernel on the given 64-byte block.
 void ExpectKernelsAgree(const char* block, const std::string& label) {
@@ -66,6 +64,26 @@ TEST(ScannerKernels, AgreeOnEverySingleByteValue) {
     for (char& c : block) c = static_cast<char>(value);
     ExpectKernelsAgree(block, "dense byte " + std::to_string(value));
   }
+}
+
+TEST(ScannerKernels, ScalarMarksSlashAndBang) {
+  // The oracle itself, on the two masks the skip scanner's block path
+  // reads: '/' alone, and '!' or '?' together.
+  char block[kScannerBlockBytes];
+  for (char& c : block) c = 'a';
+  block[0] = '/';
+  block[1] = '!';
+  block[30] = '?';
+  block[31] = '/';
+  block[62] = '?';
+  block[63] = '!';
+  ClassifyBlockFn scalar = ScannerKernelForTest(ScannerBackend::kScalar);
+  ASSERT_NE(scalar, nullptr);
+  BlockMasks m;
+  scalar(block, &m);
+  EXPECT_EQ(m.slash, (1ull << 0) | (1ull << 31));
+  EXPECT_EQ(m.bang, (1ull << 1) | (1ull << 30) | (1ull << 62) | (1ull << 63));
+  ExpectKernelsAgree(block, "slash and bang");
 }
 
 TEST(ScannerKernels, AgreeOnRandomBlocks) {
