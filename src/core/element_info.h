@@ -1,8 +1,10 @@
-// Lightweight descriptors of document nodes retained by the engine.
+// Descriptors of selected document nodes, as results report them.
 //
 // χαoς stores information only for the (few) document nodes that are
-// relevant to the query (paper Section 6.1, Table 3), so these records are
-// kept per matching-structure rather than per document node.
+// relevant to the query (paper Section 6.1, Table 3). Inside the engine a
+// matching structure keeps only the node's position (core::NodePosition);
+// an ElementInfo, with its name and value strings, is built when an output
+// item or tuple is produced.
 
 #ifndef XAOS_CORE_ELEMENT_INFO_H_
 #define XAOS_CORE_ELEMENT_INFO_H_

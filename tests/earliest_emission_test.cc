@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "baseline/compare.h"
-#include "core/matching_structure.h"
 #include "core/multi_engine.h"
 #include "core/parallel_fleet.h"
 #include "core/xaos_engine.h"
@@ -472,24 +471,6 @@ TEST(EarliestEmissionTest, OutputTwinsRandomDocuments) {
     }
   }
 }
-
-// MatchingStructure's field layout with its flags as six plain bools.
-// Packing the emission/traversal marks into one-bit fields must not grow
-// the object: the per-structure byte accounting (peak matching bytes)
-// depends on sizeof(MatchingStructure).
-struct SixBoolMatchingStructureLayout {
-  query::XNodeId xnode;
-  core::ElementInfo element;
-  util::ArenaVector<core::MatchingStructure::SlotVector> slots;
-  util::ArenaVector<int> confirmed_counts;
-  util::ArenaVector<core::MatchingStructure::BackRef> backrefs;
-  bool flags[6];
-  core::EngineStats* stats;
-  uint64_t accounted_bytes;
-};
-static_assert(sizeof(core::MatchingStructure) ==
-                  sizeof(SixBoolMatchingStructureLayout),
-              "MatchingStructure grew: pack new flags into the bit fields");
 
 }  // namespace
 }  // namespace xaos

@@ -148,6 +148,55 @@ TEST(SiblingTest, ConfirmationWaitsForSibling) {
   EXPECT_TRUE(engine.match_confirmed());
 }
 
+// A following-sibling propagation walks the parent frame's list of closed
+// preceding siblings while it links into them, and each link can run a
+// confirmation cascade or a deferred completion that walks the same list
+// again (nested). Undo cascades leave that list holding dead and retracted
+// (pending again) entries: here b's optimistic ancestor::z[q] fails when a
+// z without q closes, which undoes the b's and retracts the a's they
+// completed, and in the next z later siblings propagate into a list whose
+// entries earlier cascades changed. The walk must skip the dead entries
+// and relink the retracted ones, at every chunking.
+TEST(SiblingTest, PropagationOverClosedListChangedByUndo) {
+  const std::string xml =
+      "<r>"
+      "<z><a/><b><w/></b><a/><b><w/></b><c/></z>"
+      "<z><q/><a/><b><w/></b><a/><x/><b><w/></b><c/><a/><c/></z>"
+      "<z><a/><b/><a/><b><w/></b><c/><b><w/></b><c/></z>"
+      "</r>";
+  for (const char* expression :
+       {"//a[following-sibling::b[w/ancestor::z[q]]]",
+        "//a[following-sibling::b[following-sibling::c]]",
+        "//$a/following-sibling::$b[w/ancestor::z[q]]",
+        "//a[following-sibling::b[w/ancestor::z[q]][following-sibling::c]]"}) {
+    const test::BruteForceAnswer want = test::EvalBruteForce(expression, xml);
+    auto trees = query::CompileToXTrees(expression);
+    ASSERT_TRUE(trees.ok()) << expression;
+    ASSERT_EQ(trees->size(), 1u) << expression;
+    for (size_t chunk : {size_t{1}, size_t{7}, xml.size()}) {
+      core::XaosEngine engine(&trees->front());
+      xml::SaxParser parser(&engine);
+      for (size_t i = 0; i < xml.size(); i += chunk) {
+        ASSERT_TRUE(parser.Feed(std::string_view(xml).substr(i, chunk)).ok());
+      }
+      ASSERT_TRUE(parser.Finish().ok());
+      EXPECT_EQ(engine.Matched(), want.matched) << expression;
+      EXPECT_EQ(baseline::CanonicalFromResult(engine.result()), want.items)
+          << expression << " chunk " << chunk;
+    }
+  }
+  // The first expression really does undo adopted b's (and, through them,
+  // retract the a's they completed).
+  auto trees = query::CompileToXTrees(
+      "//a[following-sibling::b[w/ancestor::z[q]]]");
+  ASSERT_TRUE(trees.ok());
+  core::XaosEngine engine(&trees->front());
+  ASSERT_TRUE(xml::ParseString(xml, &engine).ok());
+  EXPECT_GT(engine.stats().structures_undone, 0u);
+  EXPECT_EQ(Ordinals(baseline::CanonicalFromResult(engine.result())),
+            (std::vector<uint32_t>{12, 15}));
+}
+
 // Differential sweep with sibling axes enabled in the random generator.
 class SiblingDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -2,6 +2,7 @@
 // arbitrary documents and queries, checked over randomized inputs.
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <set>
 #include <string>
@@ -207,6 +208,90 @@ TEST_P(TupleSemanticsTest, TuplesMatchBruteForce) {
   std::set<std::vector<baseline::CanonicalItem>> oracle_tuples(
       oracle.tuples.begin(), oracle.tuples.end());
   EXPECT_EQ(engine_tuples, oracle_tuples) << xpath::ToString(path);
+}
+
+// A random document over tags a/b/c whose elements carry `id` / `x`
+// attributes and interleave text with child elements, so attribute, text()
+// and wildcard outputs all have candidates.
+std::string RandomAttributeTextDocument(std::mt19937_64& rng, int elements) {
+  const char* const kTags[] = {"a", "b", "c"};
+  const char* const kAttrs[] = {"id", "x"};
+  const char* const kWords[] = {"red", "green", "blue"};
+  std::string xml;
+  int remaining = elements;
+  std::function<void(int)> element = [&](int depth) {
+    --remaining;
+    const char* tag = kTags[rng() % 3];
+    xml += "<";
+    xml += tag;
+    for (const char* attr : kAttrs) {
+      if (rng() % 2 == 0) {
+        xml += std::string(" ") + attr + "=\"" + kWords[rng() % 3] + "\"";
+      }
+    }
+    xml += ">";
+    int children = depth < 5 ? static_cast<int>(rng() % 4) : 0;
+    for (int i = 0; i < children && remaining > 0; ++i) {
+      if (rng() % 3 == 0) xml += kWords[rng() % 3];
+      element(depth + 1);
+    }
+    if (rng() % 2 == 0) xml += kWords[rng() % 3];
+    xml += "</";
+    xml += tag;
+    xml += ">";
+  };
+  xml += "<r>";
+  while (remaining > 0) element(1);
+  xml += "</r>";
+  return xml;
+}
+
+// Output items are rebuilt from a compact record: a named test's name from
+// the x-node, wildcard names and attribute/text values from the engine's
+// byte arena. Tuples over such outputs must equal the brute-force
+// matcher's, names and values included.
+TEST_P(TupleSemanticsTest, AttributeTextAndWildcardOutputs) {
+  std::mt19937_64 rng(GetParam());
+  const std::string doc = RandomAttributeTextDocument(rng, 120);
+  auto dom = dom::ParseToDocument(doc);
+  ASSERT_TRUE(dom.ok());
+  for (const char* expression :
+       {"//$*/$@*", "//$a/$text()", "//$*[@id]/$@x", "//$b//$*/$text()",
+        "//$*/$@id", "//a/$*/$text()", "//$c/$*", "//*/$@*"}) {
+    auto trees = query::CompileToXTrees(expression);
+    ASSERT_TRUE(trees.ok()) << expression;
+    ASSERT_EQ(trees->size(), 1u) << expression;
+    const query::XTree& tree = trees->front();
+
+    core::XaosEngine engine(&tree);
+    ASSERT_TRUE(xml::ParseString(doc, &engine).ok());
+    core::TupleEnumeration tuples = engine.OutputTuples(1'000'000);
+    ASSERT_TRUE(tuples.complete) << expression;
+    baseline::BruteForceOutcome oracle =
+        baseline::BruteForceMatch(*dom, tree, 20'000'000);
+    ASSERT_TRUE(oracle.complete) << expression;
+
+    std::set<std::vector<baseline::CanonicalItem>> engine_tuples;
+    for (const core::OutputTuple& tuple : tuples.tuples) {
+      std::vector<baseline::CanonicalItem> canon;
+      for (const core::ElementInfo& info : tuple) {
+        core::OutputItem item;
+        item.info = info;
+        canon.push_back(baseline::CanonicalFromOutputItem(item));
+      }
+      engine_tuples.insert(std::move(canon));
+    }
+    std::set<std::vector<baseline::CanonicalItem>> oracle_tuples(
+        oracle.tuples.begin(), oracle.tuples.end());
+    EXPECT_EQ(engine_tuples, oracle_tuples) << expression << " on " << doc;
+    // Canonical items identify a text node by its owner's ordinal and its
+    // value, so two equal text runs of one element collapse into one entry
+    // (the oracle's item list is duplicate-free).
+    std::vector<baseline::CanonicalItem> items =
+        baseline::CanonicalFromResult(engine.result());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+    EXPECT_EQ(items, oracle.items) << expression << " on " << doc;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TupleSemanticsTest,
