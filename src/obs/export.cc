@@ -89,7 +89,8 @@ std::string_view MetricHelpText(std::string_view base) {
       {"xaos_engine_propagations_total", "Slot propagation steps."},
       {"xaos_engine_optimistic_propagations_total",
        "Propagations performed before backward constraints resolved."},
-      {"xaos_engine_arena_bytes_total", "Bytes allocated from pool arenas."},
+      {"xaos_engine_arena_bytes_total",
+       "Bytes handed out by matching-structure record stores."},
       {"xaos_sub_match_latency_ns",
        "Per-subscription match latency: document start to EndDocument, "
        "nanoseconds, recorded once per matching document."},

@@ -78,9 +78,12 @@ StatusOr<std::vector<Step>> ExpandStep(const Step& step, int max_paths) {
   for (const PredExpr& pred : step.predicates) {
     XAOS_ASSIGN_OR_RETURN(Dnf dnf, ExpandPred(pred, max_paths));
     std::vector<Step> next;
-    for (const Step& alt : alternatives) {
-      for (const Conjunction& conj : dnf) {
-        Step combined = alt;
+    for (Step& alt : alternatives) {
+      for (size_t c = 0; c < dnf.size(); ++c) {
+        const Conjunction& conj = dnf[c];
+        // The last combination takes `alt` itself, so an or-free step
+        // grows in place instead of copying its predicates each time.
+        Step combined = c + 1 == dnf.size() ? std::move(alt) : alt;
         for (const LocationPath& p : conj) {
           PredExpr leaf;
           leaf.kind = PredExpr::Kind::kPath;

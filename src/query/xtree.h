@@ -9,6 +9,7 @@
 #ifndef XAOS_QUERY_XTREE_H_
 #define XAOS_QUERY_XTREE_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -68,6 +69,10 @@ bool MatchesSpec(const NodeTestSpec& spec, DocNodeKind kind,
 // descendant↔ancestor, self↔self, descendant-or-self↔ancestor-or-self.
 // The attribute axis has no inverse in the subset; calling with it aborts.
 xpath::Axis InverseAxis(xpath::Axis axis);
+
+// Most children (predicates and child steps) one x-node may have: the
+// engine's matching structures count their slots in 16 bits.
+inline constexpr size_t kMaxXNodeChildren = UINT16_MAX;
 
 struct XNode {
   NodeTestSpec test;

@@ -124,6 +124,13 @@ class Builder {
   }
 
   StatusOr<XTree> Finish() {
+    for (int v = 0; v < tree_.size(); ++v) {
+      if (tree_.node(v).children.size() > kMaxXNodeChildren) {
+        return UnsupportedError(
+            "a step has more than " + std::to_string(kMaxXNodeChildren) +
+            " predicates and child steps");
+      }
+    }
     if (!has_explicit_outputs_) {
       if (default_output_ == kRootXNode) {
         return UnsupportedError("expression selects only the virtual root");

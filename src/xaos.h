@@ -43,7 +43,6 @@
 #include "query/projection.h"               // IWYU pragma: export
 #include "query/reroot.h"                   // IWYU pragma: export
 #include "query/xtree_builder.h"            // IWYU pragma: export
-#include "util/pool_arena.h"                // IWYU pragma: export
 #include "util/status.h"                    // IWYU pragma: export
 #include "util/statusor.h"                  // IWYU pragma: export
 #include "util/symbol_table.h"              // IWYU pragma: export

@@ -84,6 +84,21 @@ TEST(XTreeBuilderTest, RejectsRootOnlyExpression) {
   EXPECT_FALSE(CompileToXTrees("/").ok());
 }
 
+TEST(XTreeBuilderTest, RejectsMoreChildrenThanSlotsCanCount) {
+  // A matching structure counts its slots in 16 bits.
+  auto predicates = [](size_t n) {
+    std::string expression = "//a";
+    for (size_t i = 0; i < n; ++i) expression += "[b]";
+    return expression;
+  };
+  auto at_limit = CompileToXTrees(predicates(kMaxXNodeChildren));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status();
+  EXPECT_EQ(at_limit->front().node(1).children.size(), kMaxXNodeChildren);
+  auto over = CompileToXTrees(predicates(kMaxXNodeChildren + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kUnsupported);
+}
+
 TEST(XTreeBuilderTest, HasBackwardEdges) {
   EXPECT_TRUE(Build("//a/ancestor::b").HasBackwardEdges());
   EXPECT_FALSE(Build("//a/b").HasBackwardEdges());
